@@ -26,6 +26,7 @@ from .exceptions import (
     DegenerateBasis,
     EigenMismatch,
     LengthMismatch,
+    NonFiniteSignal,
     OddWithoutPad,
     ZeroSignal,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "DegenerateBasis",
     "EigenMismatch",
     "LengthMismatch",
+    "NonFiniteSignal",
     "OddWithoutPad",
     "ZeroSignal",
     "dft_matrix",

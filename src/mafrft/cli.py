@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .eigenbasis import build_eigenbasis, validate_eigenbasis
 from .counters import counters
-from .exceptions import OddWithoutPad, ZeroSignal
+from .exceptions import NonFiniteSignal, OddWithoutPad, ZeroSignal
 from .multiangle import ma_frft_full, ma_frft_half, ma_frft_naive
 
 EXIT_OK = 0
@@ -147,6 +147,9 @@ def _cmd_compute(args) -> int:
     except OddWithoutPad as exc:
         print(f"compute: flag conflict (OddWithoutPad): {exc}", file=sys.stderr)
         return EXIT_CONFLICT
+    except NonFiniteSignal as exc:
+        print(f"compute: bad input (NonFiniteSignal): {exc}", file=sys.stderr)
+        return EXIT_PARSE
     _write_matrix_csv(result.X.real, f"{args.out_prefix}_re.csv")
     _write_matrix_csv(result.X.imag, f"{args.out_prefix}_im.csv")
     _write_matrix_csv(result.orders[None, :], f"{args.out_prefix}_orders.csv")

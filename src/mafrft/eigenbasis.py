@@ -11,6 +11,15 @@ Construction splits the problem into the reversal-even and reversal-odd
 subspaces first, which makes every column exactly symmetric or antisymmetric
 under the reversal operator and sidesteps degenerate eigenvalue pairs of the
 commuting matrix (which only occur across the two symmetry classes).
+
+Cost: the commuting matrix is folded into its two half-size class blocks by
+index arithmetic on the reversal permutation, so the build runs two
+half-size ``eigh`` calls and the ``V.T @ V`` orthonormality check as its
+only O(N^3) steps. The commutation and DFT eigen residuals take
+O(N^2 log N): the DFT is never formed densely, but generated a block of rows
+at a time from a twiddle table, or applied as column FFTs. Row and column
+blocks bound the extra memory to about 512 KB per block on top of the real
+N x N matrices.
 """
 
 import struct
@@ -19,11 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import check_variant, dft_matrix, reversal_permutation
+from .foundation import check_variant, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
 _VARIANT_CODE = {"standard": 0, "centered": 1}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
+_HEADER_BYTES = len(CACHE_MAGIC) + 5  # magic, int32 n, variant byte
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,95 @@ def expected_multiplicities(n: int, variant: str = "standard") -> tuple:
     return table[r]
 
 
+def _commuting_band(n: int, variant: str):
+    """Diagonal and periodic off-diagonal of :func:`commuting_matrix`:
+    ``S[k, k] = diag[k]`` and ``S[k, k+1 mod N] = S[k+1 mod N, k] = off[k]``,
+    so ``off[N-1]`` is the wraparound corner."""
+    k = np.arange(n)
+    c = 0.0 if variant == "standard" else (n - 1) / 2
+    diag = 2 * np.cos(2 * np.pi * (k - c) / n) - 4
+    off = np.ones(n)
+    off[-1] = -1.0 if (variant == "centered" and n % 2 == 0) else 1.0
+    return diag, off
+
+
+def _twiddles(n: int, variant: str):
+    """Integer DFT indices ``u`` and the table ``exp(-2j*pi*t/(4N))``.
+
+    Entry ``(j, k)`` of the unitary DFT is ``table[u[j]*u[k] % 4N] / sqrt(N)``
+    with ``u = 2k`` (standard) or ``u = 2k - (N-1)`` (centered): the phase
+    index is reduced exactly in integers, so large N loses no accuracy.
+    """
+    u = 2 * np.arange(n) - (0 if variant == "standard" else n - 1)
+    table = np.exp(-2j * np.pi * np.arange(4 * n) / (4 * n))
+    return u, table
+
+
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _block(n: int) -> int:
+    """Rows or columns per block: a complex block stays near 512 KB, so the
+    elementwise passes over it run in cache."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _commutation_residual(diag, off, variant: str) -> float:
+    """``max|SW - WS|`` for the periodic tridiagonal S given by ``diag`` and
+    ``off`` (see :func:`_commuting_band`) and the unitary DFT W.
+
+    Works on blocks of rows of W generated from the twiddle table, with S
+    applied as a band from the left (neighbouring rows) and from the right
+    (neighbouring columns): O(N^2) time, O(block * N) memory.
+    """
+    n = len(diag)
+    u, table = _twiddles(n, variant)
+    table /= np.sqrt(n)
+    ring = np.arange(-1, n + 1) % n  # ring[i + 1] = i, with one wrapped neighbour each side
+    below = off[ring[:-2]]  # S[k-1, k]
+    step = _block(n)
+    worst = 0.0
+    for j0 in range(0, n, step):
+        rows = ring[j0 : min(j0 + step, n) + 2]
+        j = rows[1:-1, None]
+        phase = np.outer(u[rows], u[ring])
+        phase %= 4 * n
+        W = table[phase]  # rows j0-1 .. j0+step of W, columns -1 .. N
+        SW = off[j - 1] * W[:-2, 1:-1] + diag[j] * W[1:-1, 1:-1] + off[j] * W[2:, 1:-1]
+        mid = W[1:-1]
+        WS = mid[:, :-2] * below + mid[:, 1:-1] * diag + mid[:, 2:] * off
+        worst = max(worst, float(np.abs(SW - WS).max()))
+    return worst
+
+
+def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float:
+    """``max|WV - V*(-1j)**exponents|`` with W V evaluated as column FFTs.
+
+    The centered DFT is the standard one between two phase ramps, both looked
+    up in the twiddle table. Columns go in blocks: O(N^2 log N) time.
+    """
+    n = V.shape[0]
+    u, table = _twiddles(n, variant)
+    m = -u[0]  # u = 2k - m
+    pre = table[(-2 * m * np.arange(n)) % (4 * n)][:, None]
+    post = table[(m * m - 2 * m * np.arange(n)) % (4 * n)][:, None] / np.sqrt(n)
+    lam = np.array([1, -1j, -1, 1j])[exponents % 4]
+    step = _block(n)
+    worst = 0.0
+    for c0 in range(0, n, step):
+        cols = slice(c0, c0 + step)
+        WV = post * np.fft.fft(pre * V[:, cols], axis=0)
+        worst = max(worst, float(np.abs(WV - V[:, cols] * lam[cols]).max()))
+    return worst
+
+
+def _basis_residuals(V: np.ndarray, exponents: np.ndarray, variant: str):
+    """Orthonormality and DFT eigen residuals of a basis."""
+    G = V.T @ V
+    G[np.diag_indices_from(G)] -= 1.0
+    return float(np.abs(G, out=G).max()), _eigen_residual(V, exponents, variant)
+
+
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Real symmetric matrix commuting with the DFT of the given variant.
 
@@ -109,40 +208,17 @@ def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     check_variant(variant)
     if n < 4:
         raise ValueError("n must be >= 4")
-    k = np.arange(n)
-    c = 0.0 if variant == "standard" else (n - 1) / 2
-    S = np.zeros((n, n))
-    S[k, k] = 2 * np.cos(2 * np.pi * (k - c) / n) - 4
-    S[k[:-1], k[:-1] + 1] = 1.0
-    S[k[:-1] + 1, k[:-1]] = 1.0
-    corner = -1.0 if (variant == "centered" and n % 2 == 0) else 1.0
-    S[0, n - 1] = corner
-    S[n - 1, 0] = corner
-    W = dft_matrix(n, variant)
-    residual = np.abs(S @ W - W @ S).max()
+    diag, off = _commuting_band(n, variant)
+    residual = _commutation_residual(diag, off, variant)
     if residual > 1e-8:
         raise CommutationError(
             f"commutation residual {residual:g} for n={n}, variant={variant}"
         )
+    k = np.arange(n)
+    S = np.diag(diag)
+    S[k, (k + 1) % n] = off
+    S[(k + 1) % n, k] = off
     return S
-
-
-def _symmetry_class_basis(n: int, perm: np.ndarray, sign: int) -> np.ndarray:
-    """Orthonormal basis of the reversal-even (sign=+1) or -odd (sign=-1)
-    subspace, as columns."""
-    cols = []
-    for i in range(n):
-        j = perm[i]
-        if i < j:
-            v = np.zeros(n)
-            v[i] = 1 / np.sqrt(2)
-            v[j] = sign / np.sqrt(2)
-            cols.append(v)
-        elif i == j and sign == 1:
-            v = np.zeros(n)
-            v[i] = 1.0
-            cols.append(v)
-    return np.stack(cols, axis=1)
 
 
 def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
@@ -157,27 +233,31 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     S = commuting_matrix(n, variant)
     exponents = index_vector(n, variant)
     perm = reversal_permutation(n, variant)
+    k = np.arange(n)
+    reps = k[k <= perm]  # one index per mirror orbit
     V = np.zeros((n, n))
-    for sign, parity in ((1, 0), (-1, 1)):
-        B = _symmetry_class_basis(n, perm, sign)
-        _, U = np.linalg.eigh(B.T @ S @ B)
-        vecs = B @ U[:, ::-1]  # descending eigenvalue order
+    for sign, parity, rows in ((1.0, 0, reps), (-1.0, 1, reps[perm[reps] != reps])):
+        # Class basis column a is (e[rows[a]] + sign*e[mirrors[a]]) * scale[a],
+        # with scale 1/2 at fixed points, where the two unit vectors coincide.
+        mirrors = perm[rows]
+        scale = np.where(rows == mirrors, 0.5, 1 / np.sqrt(2))
+        half = S[rows] + sign * S[mirrors]
+        block = (half[:, rows] + sign * half[:, mirrors]) * np.outer(scale, scale)
+        _, U = np.linalg.eigh(block)
         slots = np.flatnonzero(exponents % 2 == parity)
-        if len(slots) != vecs.shape[1]:
+        if len(slots) != len(rows):
             raise DegenerateBasis(
                 f"symmetry class sizes do not match exponent parities (n={n})"
             )
-        V[:, slots] = vecs
-    for k in range(n):
-        lead = np.argmax(np.abs(V[:, k]))
-        if V[lead, k] < 0:
-            V[:, k] = -V[:, k]
+        U = U[:, ::-1] * scale[:, None]  # descending eigenvalue order
+        V[np.ix_(rows, slots)] = U
+        V[np.ix_(mirrors, slots)] += sign * U
+    lead = np.abs(V).argmax(axis=0)
+    V *= np.where(V[lead, k] < 0, -1.0, 1.0)
 
-    orth = np.abs(V.T @ V - np.eye(n)).max()
+    orth, eig = _basis_residuals(V, exponents, variant)
     if orth > 1e-8:
         raise DegenerateBasis(f"orthonormality residual {orth:g} for n={n}")
-    W = dft_matrix(n, variant)
-    eig = np.abs(W @ V - V * (-1j) ** exponents).max()
     if eig > 1e-8:
         raise EigenMismatch(f"eigen residual {eig:g} for n={n}, variant={variant}")
     V.setflags(write=False)
@@ -188,10 +268,8 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
 def validate_eigenbasis(basis: EigenBasis) -> ValidationReport:
     """Self-check residuals and eigenvalue multiplicity counts."""
     n, V, ell = basis.n, basis.vectors, basis.exponents
-    W = dft_matrix(n, basis.variant)
     perm = reversal_permutation(n, basis.variant)
-    orth = float(np.abs(V.T @ V - np.eye(n)).max())
-    eig = float(np.abs(W @ V - V * (-1j) ** ell).max())
+    orth, eig = _basis_residuals(V, ell, basis.variant)
     sym = float(np.abs(V[perm, :] - V * (-1.0) ** ell).max())
     counts = tuple(int(np.sum(ell % 4 == q)) for q in range(4))
     return ValidationReport(
@@ -215,16 +293,31 @@ def save_basis(basis: EigenBasis, path) -> None:
 
 
 def load_basis(path) -> EigenBasis:
-    """Read a basis written by :func:`save_basis`."""
+    """Read a basis written by :func:`save_basis`.
+
+    Raises ValueError for a bad magic, a truncated header, an unknown
+    variant byte, n < 4, or a file length that does not match n.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"bad magic {magic!r}")
-        (n,) = struct.unpack("<i", fh.read(4))
-        (code,) = struct.unpack("B", fh.read(1))
-        variant = _VARIANT_NAME[code]
-        V = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        ell = np.frombuffer(fh.read(4 * n), dtype="<i4").astype(np.int64)
+        data = fh.read()
+    magic = data[: len(CACHE_MAGIC)]
+    if magic != CACHE_MAGIC:
+        raise ValueError(f"bad magic {magic!r}")
+    if len(data) < _HEADER_BYTES:
+        raise ValueError(f"truncated header: {len(data)} bytes")
+    n, code = struct.unpack_from("<iB", data, len(CACHE_MAGIC))
+    if code not in _VARIANT_NAME:
+        raise ValueError(f"unknown variant byte {code}")
+    if n < 4:
+        raise ValueError(f"basis size {n} < 4")
+    expected = _HEADER_BYTES + 8 * n * n + 4 * n
+    if len(data) != expected:
+        problem = "truncated" if len(data) < expected else "trailing bytes"
+        raise ValueError(
+            f"{problem}: {len(data)} bytes, expected {expected} for n={n}"
+        )
+    V = np.frombuffer(data, "<f8", n * n, _HEADER_BYTES).reshape(n, n).copy()
+    ell = np.frombuffer(data, "<i4", n, _HEADER_BYTES + 8 * n * n).astype(np.int64)
     V.setflags(write=False)
     ell.setflags(write=False)
-    return EigenBasis(variant=variant, n=n, vectors=V, exponents=ell)
+    return EigenBasis(variant=_VARIANT_NAME[code], n=n, vectors=V, exponents=ell)

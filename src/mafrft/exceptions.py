@@ -5,6 +5,10 @@ class LengthMismatch(ValueError):
     """Signal length does not match the basis / matrix size."""
 
 
+class NonFiniteSignal(ValueError):
+    """Signal contains NaN or infinite samples."""
+
+
 class DegenerateBasis(RuntimeError):
     """Eigenbasis construction produced non-orthonormal columns."""
 

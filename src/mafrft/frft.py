@@ -13,7 +13,18 @@ multiangle module is checked against.
 import numpy as np
 
 from .eigenbasis import EigenBasis
-from .exceptions import LengthMismatch
+from .exceptions import LengthMismatch, NonFiniteSignal
+
+
+def _check_signal(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
+    """The signal as a complex array, after checking its length and that
+    every sample is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (basis.n,):
+        raise LengthMismatch(f"signal length {x.shape} != basis size {basis.n}")
+    if not np.isfinite(x).all():
+        raise NonFiniteSignal("signal has NaN or infinite samples")
+    return x
 
 
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
@@ -32,7 +43,5 @@ def frft_matrix(basis: EigenBasis, a: float) -> np.ndarray:
 
 def frft_apply(basis: EigenBasis, a: float, x: np.ndarray) -> np.ndarray:
     """Apply the order-``a`` transform to a signal without forming the matrix."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (basis.n,):
-        raise LengthMismatch(f"signal length {x.shape} != basis size {basis.n}")
+    x = _check_signal(basis, x)
     return basis.vectors @ (_eigenvalue_powers(basis, a) * (basis.vectors.T @ x))

@@ -21,9 +21,9 @@ import numpy as np
 
 from .counters import counters
 from .eigenbasis import EigenBasis
-from .exceptions import LengthMismatch, OddWithoutPad, ZeroSignal
+from .exceptions import OddWithoutPad, ZeroSignal
 from .foundation import fft_rows_unnormalized, reversal_permutation
-from .frft import frft_apply
+from .frft import _check_signal, frft_apply
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,9 @@ class ZMatrix:
     Zhat: Optional[np.ndarray] = None
 
 
-def _check_length(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (basis.n,):
-        raise LengthMismatch(f"signal length {x.shape} != basis size {basis.n}")
-    return x
-
-
 def change_of_basis(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     """Direct product V^T x, O(N^2) multiplies."""
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     counters.multiplies += basis.n * basis.n
     return basis.vectors.T @ x
 
@@ -68,7 +61,7 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     runs over one representative of every mirrored index pair. Uses about
     half the multiplies of :func:`change_of_basis`.
     """
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     n, V, ell = basis.n, basis.vectors, basis.exponents
     perm = reversal_permutation(n, basis.variant)
     idx = np.arange(n)
@@ -99,7 +92,7 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     (column N-1 folded into column 0 and zeroed), whose row FFTs give the
     multiangle result directly.
     """
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     y = change_of_basis_fast(basis, x)
     Z = basis.vectors * y[None, :]
     Zhat = None
@@ -120,7 +113,7 @@ def _fft_input(basis: EigenBasis, x: np.ndarray, pad_odd: bool) -> np.ndarray:
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     n = basis.n
     X = fft_rows_unnormalized(_fft_input(basis, x, pad_odd=False))
     return MultiangleResult(
@@ -138,7 +131,7 @@ def ma_frft_half(
     ``pad_odd`` must be set, which appends a zero column to Z and evaluates
     R = N+1 orders ``4r/(N+1)``.
     """
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     n = basis.n
     if n % 2 == 1 and not pad_odd:
         raise OddWithoutPad(
@@ -162,7 +155,7 @@ def ma_frft_half(
 
 def ma_frft_naive(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """Reference path: one eigendecomposition apply per order, O(N^3) total."""
-    x = _check_length(basis, x)
+    x = _check_signal(basis, x)
     n = basis.n
     cols = [frft_apply(basis, 4 * r / n, x) for r in range(n)]
     return MultiangleResult(

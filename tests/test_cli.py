@@ -87,6 +87,17 @@ def test_compute_parse_failure(tmp_path):
                 "--out-prefix", tmp_path / "x"]) == 2
 
 
+def test_compute_non_finite_sample_is_parse_error(tmp_path, capsys):
+    sig = tmp_path / "nan.csv"
+    run(["gen", "--n", 8, "--kind", "noise", "--out", sig])
+    lines = sig.read_text().splitlines()
+    lines[2] = "nan,0"
+    sig.write_text("\n".join(lines) + "\n")
+    assert run(["compute", "--input", sig, "--out-prefix", tmp_path / "x"]) == 2
+    assert "NonFiniteSignal" in capsys.readouterr().err
+    assert not (tmp_path / "x_re.csv").exists()
+
+
 def test_validate_8_standard(capsys):
     assert run(["validate", "--n", 8, "--variant", "standard"]) == 0
     report = json.loads(capsys.readouterr().out)

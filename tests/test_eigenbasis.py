@@ -1,7 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafrft import (
+    EigenBasis,
     build_eigenbasis,
     commuting_matrix,
     dft_matrix,
@@ -9,9 +14,12 @@ from mafrft import (
     index_vector,
     load_basis,
     reversal_matrix,
+    reversal_permutation,
     save_basis,
     validate_eigenbasis,
 )
+from mafrft import eigenbasis
+from mafrft.eigenbasis import _commutation_residual, _commuting_band, _eigen_residual
 from tests.conftest import cached_basis
 
 
@@ -141,3 +149,166 @@ def test_cache_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTABAS" + b"\0" * 16)
     with pytest.raises(ValueError):
         load_basis(path)
+
+
+# --- cache format errors ------------------------------------------------------
+
+
+def _cache_bytes(tmp_path, n=8, variant="standard"):
+    path = tmp_path / "basis.bin"
+    save_basis(cached_basis(n, variant), path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda data: data[:-1], id="truncated-body"),
+        pytest.param(lambda data: data[:9], id="truncated-header"),
+        pytest.param(lambda data: data + b"\0", id="trailing-bytes"),
+        pytest.param(lambda data: data[:11] + b"\x07" + data[12:], id="unknown-variant"),
+        pytest.param(lambda data: data[:7] + struct.pack("<i", 3) + data[11:], id="n-3"),
+        pytest.param(lambda data: data[:7] + struct.pack("<i", -2) + data[11:], id="n-negative"),
+    ],
+)
+def test_cache_rejects_corrupt_file(tmp_path, corrupt):
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(corrupt(data))
+    with pytest.raises(ValueError):
+        load_basis(path)
+
+
+# --- residual kernels -----------------------------------------------------------
+
+
+def _exact_phase_dft(n, variant):
+    """Dense unitary DFT with the phase index reduced exactly modulo 4N.
+
+    ``dft_matrix`` rounds the phase ``2*pi*j*k/N`` before reducing it, which
+    moves the dense commutation residual by up to ~2e-14 at N <= 64; this
+    matrix has the same entries without that error.
+    """
+    u = 2 * np.arange(n) - (0 if variant == "standard" else n - 1)
+    return np.exp(-2j * np.pi * (np.outer(u, u) % (4 * n)) / (4 * n)) / np.sqrt(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 64), variant=st.sampled_from(["standard", "centered"]))
+def test_residual_kernels_match_dense_formulas(n, variant):
+    S = commuting_matrix(n, variant)
+    W = _exact_phase_dft(n, variant)
+    blocked = _commutation_residual(*_commuting_band(n, variant), variant)
+    assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
+
+    b = cached_basis(n, variant)
+    V, ell = b.vectors, b.exponents
+    dense = np.abs(dft_matrix(n, variant) @ V - V * (-1j) ** ell).max()
+    assert abs(_eigen_residual(V, ell, variant) - dense) < 1e-14
+
+
+def test_residual_kernels_blocked(monkeypatch):
+    # Force several row and column blocks, including a ragged last one.
+    monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", 3 * 37)
+    for variant in ("standard", "centered"):
+        S = commuting_matrix(37, variant)
+        W = _exact_phase_dft(37, variant)
+        blocked = _commutation_residual(*_commuting_band(37, variant), variant)
+        assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
+        b = cached_basis(37, variant)
+        dense = np.abs(dft_matrix(37, variant) @ b.vectors
+                       - b.vectors * (-1j) ** b.exponents).max()
+        assert abs(_eigen_residual(b.vectors, b.exponents, variant) - dense) < 1e-14
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [8, 9])
+def test_flipped_corner_fails_commutation(n, variant):
+    diag, off = _commuting_band(n, variant)
+    off[-1] = -off[-1]
+    assert _commutation_residual(diag, off, variant) > 1e-8
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_validate_rejects_swapped_columns(variant):
+    b = cached_basis(16, variant)
+    V = b.vectors.copy()
+    V[:, [3, 4]] = V[:, [4, 3]]
+    report = validate_eigenbasis(EigenBasis(variant, 16, V, b.exponents))
+    assert report.eigen_residual > 1e-8
+    assert not report.passed
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_validate_rejects_perturbed_entry(variant):
+    b = cached_basis(16, variant)
+    V = b.vectors.copy()
+    V[5, 2] += 1e-6
+    report = validate_eigenbasis(EigenBasis(variant, 16, V, b.exponents))
+    assert report.orthonormality_residual > 1e-10
+    assert not report.passed
+
+
+def _reference_build(n, variant):
+    """Basis built as the dense formulation does: per-class basis matrices B
+    from a loop, ``eigh(B.T @ S @ B)``, and a per-column sign loop."""
+    S = commuting_matrix(n, variant)
+    ell = index_vector(n, variant)
+    perm = reversal_permutation(n, variant)
+    V = np.zeros((n, n))
+    for sign, parity in ((1, 0), (-1, 1)):
+        cols = []
+        for i in range(n):
+            j = perm[i]
+            if i < j or (i == j and sign == 1):
+                v = np.zeros(n)
+                v[i] += 1 / np.sqrt(2) if i < j else 1.0
+                v[j] += sign / np.sqrt(2) if i < j else 0.0
+                cols.append(v)
+        B = np.stack(cols, axis=1)
+        _, U = np.linalg.eigh(B.T @ S @ B)
+        V[:, ell % 2 == parity] = B @ U[:, ::-1]
+    for k in range(n):
+        if V[np.argmax(np.abs(V[:, k])), k] < 0:
+            V[:, k] = -V[:, k]
+    return V
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_build_matches_dense_reference(variant):
+    # Columns agree up to sign. A sign may differ only where the largest
+    # magnitude is reached, to rounding, in more than one mirror orbit: the
+    # sign rule then picks its lead entry by rounding noise.
+    for n in range(4, 41):
+        V, R = cached_basis(n, variant).vectors, _reference_build(n, variant)
+        perm = reversal_permutation(n, variant)
+        for k in range(n):
+            if np.abs(V[:, k] - R[:, k]).max() < 1e-10:
+                continue
+            assert np.abs(V[:, k] + R[:, k]).max() < 1e-10, (n, variant, k)
+            mag = np.abs(R[:, k])
+            tied = np.flatnonzero(mag > mag.max() - 1e-12)
+            assert len(set(np.minimum(tied, perm[tied]))) > 1, (n, variant, k)
+
+
+# --- larger sizes ----------------------------------------------------------------
+
+
+def _assert_sign_rule(V):
+    lead = np.argmax(np.abs(V), axis=0)
+    assert (V[lead, np.arange(V.shape[1])] > 0).all()
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_large_build_validates(n, variant):
+    b = build_eigenbasis(n, variant)
+    report = validate_eigenbasis(b)
+    assert report.passed, report
+    assert report.multiplicities == expected_multiplicities(n, variant)
+    _assert_sign_rule(b.vectors)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_sign_rule_first_largest_entry_positive(variant):
+    for n in range(4, 65):
+        _assert_sign_rule(cached_basis(n, variant).vectors)

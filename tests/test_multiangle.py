@@ -4,6 +4,7 @@ import pytest
 from mafrft import (
     EigenBasis,
     LengthMismatch,
+    NonFiniteSignal,
     OddWithoutPad,
     ZeroSignal,
     change_of_basis,
@@ -186,6 +187,22 @@ def test_half_odd_without_pad_raises(basis_of):
 def test_length_mismatch(basis_of):
     with pytest.raises(LengthMismatch):
         ma_frft_full(basis_of(8, "standard"), np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_signal_rejected(bad, basis_of):
+    b = basis_of(8, "standard")
+    x = random_signal(8)
+    x[3] = bad
+    for call in (
+        lambda: ma_frft_full(b, x),
+        lambda: ma_frft_half(b, x),
+        lambda: ma_frft_naive(b, x),
+        lambda: change_of_basis_fast(b, x),
+        lambda: frft_apply(b, 0.5, x),
+    ):
+        with pytest.raises(NonFiniteSignal):
+            call()
 
 
 # --- invariants --------------------------------------------------------------
