@@ -61,7 +61,10 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     runs over one representative of every mirrored index pair. Uses about
     half the multiplies of :func:`change_of_basis`.
     """
-    x = _check_signal(basis, x)
+    return _change_of_basis_fast(basis, _check_signal(basis, x))
+
+
+def _change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     n, V, ell = basis.n, basis.vectors, basis.exponents
     perm = reversal_permutation(n, basis.variant)
     idx = np.arange(n)
@@ -85,6 +88,17 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _folds(basis: EigenBasis) -> bool:
+    """Whether Z needs the correction: standard variant with even N."""
+    return basis.variant == "standard" and basis.n % 2 == 0
+
+
+def _fold(Z: np.ndarray, n: int) -> None:
+    """The correction, in place: column N-1 folded into column 0, zeroed."""
+    Z[:, 0] += Z[:, n - 1]
+    Z[:, n - 1] = 0.0
+
+
 def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     """Weighted eigenvector matrix Z[n,k] = V[n,k] * (V^T x)[k].
 
@@ -93,21 +107,28 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     multiangle result directly.
     """
     x = _check_signal(basis, x)
-    y = change_of_basis_fast(basis, x)
-    Z = basis.vectors * y[None, :]
+    Z = basis.vectors * _change_of_basis_fast(basis, x)[None, :]
     Zhat = None
-    if basis.variant == "standard" and basis.n % 2 == 0:
+    if _folds(basis):
         Zhat = Z.copy()
-        Zhat[:, 0] = Z[:, 0] + Z[:, -1]
-        Zhat[:, -1] = 0.0
+        _fold(Zhat, basis.n)
     return ZMatrix(Z=Z, Zhat=Zhat)
 
 
-def _fft_input(basis: EigenBasis, x: np.ndarray, pad_odd: bool) -> np.ndarray:
-    zm = z_matrix(basis, x)
-    Z = zm.Zhat if zm.Zhat is not None else zm.Z
-    if pad_odd:
-        Z = np.hstack([Z, np.zeros((basis.n, 1), dtype=complex)])
+def _fft_input(
+    basis: EigenBasis, x: np.ndarray, rows: int, pad: bool
+) -> np.ndarray:
+    """Rows ``0..rows-1`` of the matrix whose row FFTs are the multiangle
+    result: Z with the correction applied, plus a zero column if ``pad``.
+    ``x`` must already be checked. Makes no full-size copy of Z."""
+    n = basis.n
+    y = _change_of_basis_fast(basis, x)
+    Z = np.empty((rows, n + pad), dtype=complex)
+    np.multiply(basis.vectors[:rows], y, out=Z[:, :n])
+    if pad:
+        Z[:, n] = 0.0
+    if _folds(basis):
+        _fold(Z, n)
     return Z
 
 
@@ -115,7 +136,7 @@ def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
     x = _check_signal(basis, x)
     n = basis.n
-    X = fft_rows_unnormalized(_fft_input(basis, x, pad_odd=False))
+    X = fft_rows_unnormalized(_fft_input(basis, x, n, pad=False))
     return MultiangleResult(
         X=X, orders=4 * np.arange(n) / n, variant=basis.variant, path="full"
     )
@@ -130,6 +151,11 @@ def ma_frft_half(
     circular shift by R/2 of row n. Requires an even order grid: for odd N
     ``pad_odd`` must be set, which appends a zero column to Z and evaluates
     R = N+1 orders ``4r/(N+1)``.
+
+    One representative per mirror pair (self-mirrors included) is always
+    the prefix ``0..r-1``: ``r = N//2 + 1`` standard, ``(N+1)//2``
+    centered. The other ``c = N - r`` rows, read bottom-up, mirror rows
+    ``1..c`` (standard) or ``0..c-1`` (centered).
     """
     x = _check_signal(basis, x)
     n = basis.n
@@ -137,17 +163,16 @@ def ma_frft_half(
         raise OddWithoutPad(
             "odd length needs pad_odd: the order grid only mirrors for even R"
         )
-    pad = n % 2 == 1
-    Z = _fft_input(basis, x, pad_odd=pad)
+    standard = basis.variant == "standard"
+    r = n // 2 + 1 if standard else (n + 1) // 2
+    Z = _fft_input(basis, x, r, pad=n % 2 == 1)
     R = Z.shape[1]
-    perm = reversal_permutation(n, basis.variant)
-    rows = np.arange(n)
-    reps = rows[rows <= perm]  # one row per mirror pair (self-mirrors included)
     X = np.empty((n, R), dtype=complex)
-    X[reps] = fft_rows_unnormalized(Z[reps])
-    mirrors = perm[reps]
-    copied = mirrors != reps
-    X[mirrors[copied]] = np.roll(X[reps[copied]], R // 2, axis=1)
+    fft_rows_unnormalized(Z, out=X[:r])
+    h, c, lo = R // 2, n - r, int(standard)
+    mirrors, sources = X[n - c:][::-1], X[lo:lo + c]
+    mirrors[:, :h] = sources[:, h:]  # circular shift by R/2
+    mirrors[:, h:] = sources[:, :h]
     return MultiangleResult(
         X=X, orders=4 * np.arange(R) / R, variant=basis.variant, path="half"
     )

@@ -128,8 +128,23 @@ def test_bench_counts(capsys):
     assert rows["half"][3] == "5"
 
 
-def test_bench_rejects_non_power_of_two():
-    assert run(["bench", "--n", "12", "--reps", 1]) == 2
+def test_bench_any_size_exact_counts(capsys):
+    assert run(["bench", "--n", "12,24", "--variant", "standard",
+                "--reps", 1]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {(r[0], r[1]): r[3] for r in (line.split(",") for line in out[1:])}
+    assert rows[("12", "full")] == "12" and rows[("12", "half")] == "7"
+    assert rows[("24", "full")] == "24" and rows[("24", "half")] == "13"
+
+
+def test_bench_odd_size_pads_half(capsys):
+    assert run(["bench", "--n", "9", "--reps", 1]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {r[1]: r[3] for r in rows} == {"naive": "0", "full": "9", "half": "5"}
+
+
+def test_bench_rejects_n_below_4():
+    assert run(["bench", "--n", "3", "--reps", 1]) == 2
 
 
 def test_render_delta(tmp_path):

@@ -103,3 +103,41 @@ def test_fft_counter_counts_rows():
     fft_rows_unnormalized(np.ones((3, 8)))
     fft_unnormalized(np.ones(5))
     assert counters.fft_calls == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 33, 1536, 2048])
+def test_fft_rows_match_dense_dft(n):
+    # phases reduced exactly modulo N: at N=2048 rounding 2*pi*j*k/N before
+    # reducing it would put ~1e-9 of error into the oracle itself
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    idx = np.arange(n)
+    kernel = np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)
+    counters.reset()
+    X = fft_rows_unnormalized(z)
+    assert counters.fft_calls == 3
+    err = np.abs(X - z @ kernel).max(axis=1) / np.linalg.norm(z, axis=1)
+    assert err.max() < 1e-13
+
+
+def test_fft_rows_input_shapes():
+    counters.reset()
+    one = fft_rows_unnormalized(np.arange(5.0))
+    assert one.shape == (1, 5) and one.dtype == complex
+    assert counters.fft_calls == 1
+    many = fft_rows_unnormalized(np.ones((4, 6)))
+    assert many.shape == (4, 6)
+    assert counters.fft_calls == 5
+    assert np.array_equal(one[0], fft_unnormalized(np.arange(5.0)))
+
+
+def test_fft_rows_out_writes_into_view():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    X = np.zeros((5, 8), dtype=complex)
+    counters.reset()
+    res = fft_rows_unnormalized(z, out=X[1:4])
+    assert counters.fft_calls == 3
+    assert np.shares_memory(res, X)
+    assert np.array_equal(X[1:4], fft_rows_unnormalized(z))
+    assert not X[0].any() and not X[4].any()

@@ -21,6 +21,7 @@ from mafrft import (
     reversal_permutation,
     z_matrix,
 )
+from mafrft.foundation import fft_rows_unnormalized
 from mafrft.multiangle import MultiangleResult
 from tests.conftest import random_signal
 
@@ -318,7 +319,42 @@ def test_profile_zero_signal_raises(basis_of):
 
 
 def test_mirror_pairing_matches_permutation(basis_of):
-    # every row is either transformed or recovered from its mirror row
-    for variant in VARIANTS:
-        perm = reversal_permutation(8, variant)
-        assert np.array_equal(perm[perm], np.arange(8))
+    # every row is either transformed or recovered from its mirror row; the
+    # half path relies on the representatives being the prefix 0..r-1 and
+    # their copied mirrors the reversed suffix
+    for n in range(4, 65):
+        for variant in VARIANTS:
+            perm = reversal_permutation(n, variant)
+            assert np.array_equal(perm[perm], np.arange(n))
+            rows = np.arange(n)
+            reps = rows[rows <= perm]
+            r = n // 2 + 1 if variant == "standard" else (n + 1) // 2
+            assert np.array_equal(reps, np.arange(r))
+            copied = perm[reps] != reps
+            sources, mirrors = reps[copied], perm[reps[copied]]
+            c, lo = n - r, int(variant == "standard")
+            assert np.array_equal(sources, np.arange(lo, lo + c))
+            assert np.array_equal(mirrors, np.arange(n - 1, n - c - 1, -1))
+
+            res = ma_frft_half(basis_of(n, variant), random_signal(n, seed=n),
+                               pad_odd=n % 2 == 1)
+            R = res.X.shape[1]
+            expected = res.X.copy()
+            expected[mirrors] = np.roll(res.X[sources], R // 2, axis=1)
+            assert np.array_equal(res.X, expected)
+
+
+@pytest.mark.parametrize("n", [16, 63, 64, 96])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
+    # bit for bit: the whole call forms the same Z as z_matrix, without a copy
+    b = basis_of(n, variant)
+    x = random_signal(n, seed=n + 1)
+    zm = z_matrix(b, x)
+    Zin = zm.Zhat if zm.Zhat is not None else zm.Z
+    assert np.array_equal(ma_frft_full(b, x).X, fft_rows_unnormalized(Zin))
+    if n % 2:
+        Zin = np.hstack([Zin, np.zeros((n, 1), dtype=complex)])
+    r = n // 2 + 1 if variant == "standard" else (n + 1) // 2
+    half = ma_frft_half(b, x, pad_odd=n % 2 == 1)
+    assert np.array_equal(half.X[:r], fft_rows_unnormalized(Zin[:r]))
