@@ -27,6 +27,14 @@ def _check_signal(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``A @ z`` for a real matrix and a complex vector, as one real product
+    with the real and imaginary parts of ``z`` side by side: numpy would
+    otherwise cast all of ``A`` to complex on every call."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return (A @ z.view(float).reshape(-1, 2)).view(complex).reshape(-1)
+
+
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
     return np.exp(-1j * (np.pi / 2) * basis.exponents * a)
 
@@ -44,4 +52,5 @@ def frft_matrix(basis: EigenBasis, a: float) -> np.ndarray:
 def frft_apply(basis: EigenBasis, a: float, x: np.ndarray) -> np.ndarray:
     """Apply the order-``a`` transform to a signal without forming the matrix."""
     x = _check_signal(basis, x)
-    return basis.vectors @ (_eigenvalue_powers(basis, a) * (basis.vectors.T @ x))
+    V = basis.vectors
+    return _real_matvec(V, _eigenvalue_powers(basis, a) * _real_matvec(V.T, x))

@@ -23,7 +23,7 @@ from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
 from .foundation import fft_rows_unnormalized, reversal_permutation
-from .frft import _check_signal, frft_apply
+from .frft import _check_signal, _real_matvec, frft_apply
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def change_of_basis(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     """Direct product V^T x, O(N^2) multiplies."""
     x = _check_signal(basis, x)
     counters.multiplies += basis.n * basis.n
-    return basis.vectors.T @ x
+    return _real_matvec(basis.vectors.T, x)
 
 
 def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:

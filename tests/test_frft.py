@@ -9,6 +9,7 @@ from mafrft import (
     frft_matrix,
     reversal_matrix,
 )
+from mafrft.frft import _real_matvec
 from tests.conftest import random_signal
 
 VARIANTS = ["standard", "centered"]
@@ -92,3 +93,23 @@ def test_sign_flip_invariance(basis_of):
 def test_apply_length_mismatch(basis_of):
     with pytest.raises(LengthMismatch):
         frft_apply(basis_of(8, "standard"), 0.5, np.zeros(9))
+
+
+def test_real_matvec_matches_complex_product():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((7, 12))
+    z = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    for v in (z[:12], z[::2], z[:12].real):  # contiguous, strided, real
+        y = _real_matvec(A, v)
+        assert y.dtype == complex and y.shape == (7,)
+        assert np.abs(y - A.astype(complex) @ v).max() < 1e-13
+    y = _real_matvec(A.T, z[:7])
+    assert np.abs(y - A.T.astype(complex) @ z[:7]).max() < 1e-13
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_apply_matches_matrix(variant, basis_of):
+    b = basis_of(13, variant)
+    x = random_signal(13, seed=5)
+    for a in (0.0, 0.37, 1.0, 2.9):
+        assert np.abs(frft_apply(b, a, x) - frft_matrix(b, a) @ x).max() < 1e-12
