@@ -24,11 +24,12 @@ N x N matrices.
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import check_variant, reversal_permutation
+from .foundation import check_variant, mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
 _VARIANT_CODE = {"standard": 0, "centered": 1}
@@ -49,6 +50,11 @@ class EigenBasis:
     n: int
     vectors: np.ndarray
     exponents: np.ndarray
+
+    @cached_property
+    def parity_columns(self) -> tuple:
+        """Indices of the even- and of the odd-exponent columns, found once."""
+        return tuple(np.flatnonzero(self.exponents % 2 == p) for p in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -233,10 +239,9 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     S = commuting_matrix(n, variant)
     exponents = index_vector(n, variant)
     perm = reversal_permutation(n, variant)
-    k = np.arange(n)
-    reps = k[k <= perm]  # one index per mirror orbit
+    r, c, lo = mirror_layout(n, variant)
     V = np.zeros((n, n))
-    for sign, parity, rows in ((1.0, 0, reps), (-1.0, 1, reps[perm[reps] != reps])):
+    for sign, parity, rows in ((1.0, 0, np.arange(r)), (-1.0, 1, np.arange(lo, lo + c))):
         # Class basis column a is (e[rows[a]] + sign*e[mirrors[a]]) * scale[a],
         # with scale 1/2 at fixed points, where the two unit vectors coincide.
         mirrors = perm[rows]
@@ -245,15 +250,11 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
         block = (half[:, rows] + sign * half[:, mirrors]) * np.outer(scale, scale)
         _, U = np.linalg.eigh(block)
         slots = np.flatnonzero(exponents % 2 == parity)
-        if len(slots) != len(rows):
-            raise DegenerateBasis(
-                f"symmetry class sizes do not match exponent parities (n={n})"
-            )
         U = U[:, ::-1] * scale[:, None]  # descending eigenvalue order
         V[np.ix_(rows, slots)] = U
         V[np.ix_(mirrors, slots)] += sign * U
     lead = np.abs(V).argmax(axis=0)
-    V *= np.where(V[lead, k] < 0, -1.0, 1.0)
+    V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
 
     orth, eig = _basis_residuals(V, exponents, variant)
     if orth > 1e-8:

@@ -54,6 +54,17 @@ def reversal_permutation(n: int, variant: str = "standard") -> np.ndarray:
     return (-np.arange(n)) % n
 
 
+def mirror_layout(n: int, variant: str = "standard") -> tuple:
+    """The orbits of :func:`reversal_permutation` as ``(r, c, lo)``: the
+    representatives are the prefix ``0..r-1``; ``lo..lo+c-1`` of them have
+    the mirrors ``N-1`` down to ``N-c`` (``c = N - r``) and the other
+    ``r - c`` are fixed points. ``r = N//2 + 1`` and ``lo = 1`` for the
+    standard variant, ``r = (N+1)//2`` and ``lo = 0`` for centered."""
+    standard = check_variant(variant) == "standard"
+    r = n // 2 + 1 if standard else (n + 1) // 2
+    return r, n - r, int(standard)
+
+
 def reversal_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Permutation matrix of :func:`reversal_permutation` (an involution)."""
     perm = reversal_permutation(n, variant)

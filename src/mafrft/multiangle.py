@@ -9,9 +9,11 @@ exponent vector skips N-1 and ends at N, whose twiddle column is all ones).
 
 Eigenvector symmetry makes half the rows of X redundant: the mirror row is
 the original row circularly shifted by R/2. The half path computes FFTs
-only for one representative per mirror pair. Odd N has an odd order grid,
-which breaks the pairing; appending a zero column to Z (an oversampled DFT,
-R = N+1) restores it at the cost of a slightly different order grid.
+only for the representative rows of :func:`~mafrft.foundation.mirror_layout`,
+a prefix whose mirrors are a reversed suffix; the change of basis folds the
+signal on the same layout and runs in real arithmetic. Odd N has an odd
+order grid, which breaks the pairing; appending a zero column to Z (an
+oversampled DFT, R = N+1) restores it at a slightly different order grid.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import fft_rows_unnormalized, reversal_permutation
+from .foundation import fft_rows_unnormalized, mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -65,26 +67,18 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
 
 
 def _change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    n, V, ell = basis.n, basis.vectors, basis.exponents
-    perm = reversal_permutation(n, basis.variant)
-    idx = np.arange(n)
-    reps = idx[idx <= perm]           # one index per mirror orbit
-    fixed = perm[reps] == reps
-    xe = x[reps] + x[perm[reps]]
-    xe[fixed] *= 0.5                  # fixed points would be counted twice
-    xo = x[reps] - x[perm[reps]]
-    odd_reps = reps[~fixed]           # fixed points contribute nothing odd
-
-    even_cols = np.flatnonzero(ell % 2 == 0)
-    odd_cols = np.flatnonzero(ell % 2 == 1)
+    n, V = basis.n, basis.vectors
+    r, c, lo = mirror_layout(n, basis.variant)
+    even, odd = basis.parity_columns
+    mirrored = np.concatenate((x[:lo], x[n - r + lo:][::-1]))  # x at mirrors
+    xe = x[:r] + mirrored
+    xe[:lo] *= 0.5                    # fixed points are their own mirror
+    xe[lo + c:] *= 0.5
+    xo = x[lo:lo + c] - mirrored[lo:lo + c]  # fixed points have no odd part
     y = np.empty(n, dtype=complex)
-    y[even_cols] = V[np.ix_(reps, even_cols)].T @ xe
-    y[odd_cols] = V[np.ix_(odd_reps, odd_cols)].T @ xo[~fixed]
-    counters.multiplies += (
-        len(reps) * len(even_cols)
-        + len(odd_reps) * len(odd_cols)
-        + int(fixed.sum())
-    )
+    y[even] = _real_matvec(np.take(V[:r], even, axis=1).T, xe)
+    y[odd] = _real_matvec(np.take(V[lo:lo + c], odd, axis=1).T, xo)
+    counters.multiplies += r * len(even) + c * len(odd) + r - c
     return y
 
 
@@ -115,28 +109,30 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     return ZMatrix(Z=Z, Zhat=Zhat)
 
 
-def _fft_input(
+def _transform_rows(
     basis: EigenBasis, x: np.ndarray, rows: int, pad: bool
 ) -> np.ndarray:
-    """Rows ``0..rows-1`` of the matrix whose row FFTs are the multiangle
-    result: Z with the correction applied, plus a zero column if ``pad``.
-    ``x`` must already be checked. Makes no full-size copy of Z."""
+    """The N x R result with rows ``0..rows-1`` set to the row FFTs of Z,
+    with the correction and a zero column if ``pad``, formed and transformed
+    in place. The other rows are left unset. ``x`` must already be checked."""
     n = basis.n
     y = _change_of_basis_fast(basis, x)
-    Z = np.empty((rows, n + pad), dtype=complex)
+    X = np.empty((n, n + pad), dtype=complex)
+    Z = X[:rows]
     np.multiply(basis.vectors[:rows], y, out=Z[:, :n])
     if pad:
         Z[:, n] = 0.0
     if _folds(basis):
         _fold(Z, n)
-    return Z
+    fft_rows_unnormalized(Z, out=Z)
+    return X
 
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
     x = _check_signal(basis, x)
     n = basis.n
-    X = fft_rows_unnormalized(_fft_input(basis, x, n, pad=False))
+    X = _transform_rows(basis, x, n, pad=False)
     return MultiangleResult(
         X=X, orders=4 * np.arange(n) / n, variant=basis.variant, path="full"
     )
@@ -147,15 +143,11 @@ def ma_frft_half(
 ) -> MultiangleResult:
     """Multiangle transform computing FFTs for only half the rows.
 
-    The mirror row of n under the reversal permutation is recovered as a
-    circular shift by R/2 of row n. Requires an even order grid: for odd N
-    ``pad_odd`` must be set, which appends a zero column to Z and evaluates
-    R = N+1 orders ``4r/(N+1)``.
-
-    One representative per mirror pair (self-mirrors included) is always
-    the prefix ``0..r-1``: ``r = N//2 + 1`` standard, ``(N+1)//2``
-    centered. The other ``c = N - r`` rows, read bottom-up, mirror rows
-    ``1..c`` (standard) or ``0..c-1`` (centered).
+    Only the representative rows of :func:`~mafrft.foundation.mirror_layout`
+    are transformed; each mirror row is a circular shift by R/2 of its
+    representative. Requires an even order grid: for odd N ``pad_odd`` must
+    be set, which appends a zero column to Z and evaluates R = N+1 orders
+    ``4r/(N+1)``.
     """
     x = _check_signal(basis, x)
     n = basis.n
@@ -163,16 +155,12 @@ def ma_frft_half(
         raise OddWithoutPad(
             "odd length needs pad_odd: the order grid only mirrors for even R"
         )
-    standard = basis.variant == "standard"
-    r = n // 2 + 1 if standard else (n + 1) // 2
-    Z = _fft_input(basis, x, r, pad=n % 2 == 1)
-    R = Z.shape[1]
-    X = np.empty((n, R), dtype=complex)
-    fft_rows_unnormalized(Z, out=X[:r])
-    h, c, lo = R // 2, n - r, int(standard)
+    r, c, lo = mirror_layout(n, basis.variant)
+    X = _transform_rows(basis, x, r, pad=n % 2 == 1)
+    R = X.shape[1]
     mirrors, sources = X[n - c:][::-1], X[lo:lo + c]
-    mirrors[:, :h] = sources[:, h:]  # circular shift by R/2
-    mirrors[:, h:] = sources[:, :h]
+    mirrors[:, :R // 2] = sources[:, R // 2:]  # circular shift by R/2
+    mirrors[:, R // 2:] = sources[:, :R // 2]
     return MultiangleResult(
         X=X, orders=4 * np.arange(R) / R, variant=basis.variant, path="half"
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mafrft import (
     EigenBasis,
@@ -14,16 +16,18 @@ from mafrft import (
     dft_matrix,
     frft_apply,
     ifft_unnormalized,
+    load_basis,
     ma_frft_full,
     ma_frft_half,
     ma_frft_naive,
     reversal_matrix,
     reversal_permutation,
+    save_basis,
     z_matrix,
 )
-from mafrft.foundation import fft_rows_unnormalized
+from mafrft.foundation import fft_rows_unnormalized, mirror_layout
 from mafrft.multiangle import MultiangleResult
-from tests.conftest import random_signal
+from tests.conftest import cached_basis, random_signal
 
 VARIANTS = ["standard", "centered"]
 
@@ -78,7 +82,49 @@ def test_fast_change_of_basis_multiply_count(basis_of):
     change_of_basis_fast(b, x)
     fast = counters.multiplies
     assert direct == 64 * 64
-    assert fast <= 0.55 * direct
+    # even class 33 x 33, odd class 31 x 31, one halving per fixed point (0, 32)
+    assert fast == 33 * 33 + 31 * 31 + 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 128),
+    variant=st.sampled_from(VARIANTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_paths_match_references(n, variant, seed):
+    b = cached_basis(n, variant)
+    x = random_signal(n, seed=seed)
+    counters.reset()
+    fast = change_of_basis_fast(b, x)
+    f = int(np.count_nonzero(reversal_permutation(n, variant) == np.arange(n)))
+    assert counters.multiplies == ((n + f) // 2) ** 2 + ((n - f) // 2) ** 2 + f
+    assert np.abs(fast - change_of_basis(b, x)).max() < 1e-10
+
+    if n % 2 == 0:
+        diff = np.abs(ma_frft_half(b, x).X - ma_frft_full(b, x).X).max()
+        assert diff < 1e-12 * np.linalg.norm(x)
+    else:  # the padded grid 4r/(N+1), against the per-order oracle
+        X = ma_frft_half(b, x, pad_odd=True).X
+        for r in range(n + 1):
+            assert np.abs(X[:, r] - frft_apply(b, 4 * r / (n + 1), x)).max() < 1e-8
+
+
+@pytest.mark.parametrize("n,variant", [(16, "standard"), (63, "centered"),
+                                       (96, "centered")])
+def test_loaded_and_hand_made_bases_give_identical_results(n, variant, basis_of,
+                                                           tmp_path):
+    # the per-basis column lists must come out the same however a basis is made
+    b = basis_of(n, variant)
+    save_basis(b, tmp_path / "basis.bin")
+    by_hand = EigenBasis(variant=variant, n=n, vectors=b.vectors.copy(),
+                         exponents=b.exponents.copy())
+    x = random_signal(n, seed=n)
+    pad = n % 2 == 1
+    full, half = ma_frft_full(b, x).X, ma_frft_half(b, x, pad_odd=pad).X
+    for other in (load_basis(tmp_path / "basis.bin"), by_hand):
+        assert np.array_equal(ma_frft_full(other, x).X, full)
+        assert np.array_equal(ma_frft_half(other, x, pad_odd=pad).X, half)
 
 
 # --- Z matrix ----------------------------------------------------------------
@@ -328,16 +374,18 @@ def test_mirror_pairing_matches_permutation(basis_of):
             assert np.array_equal(perm[perm], np.arange(n))
             rows = np.arange(n)
             reps = rows[rows <= perm]
-            r = n // 2 + 1 if variant == "standard" else (n + 1) // 2
+            r, c, lo = mirror_layout(n, variant)
             assert np.array_equal(reps, np.arange(r))
             copied = perm[reps] != reps
             sources, mirrors = reps[copied], perm[reps[copied]]
-            c, lo = n - r, int(variant == "standard")
             assert np.array_equal(sources, np.arange(lo, lo + c))
             assert np.array_equal(mirrors, np.arange(n - 1, n - c - 1, -1))
+            assert r - c == np.count_nonzero(perm == rows)
 
-            res = ma_frft_half(basis_of(n, variant), random_signal(n, seed=n),
-                               pad_odd=n % 2 == 1)
+            b = basis_of(n, variant)
+            even, odd = b.parity_columns  # the class sizes the build relies on
+            assert (len(even), len(odd)) == (r, c)
+            res = ma_frft_half(b, random_signal(n, seed=n), pad_odd=n % 2 == 1)
             R = res.X.shape[1]
             expected = res.X.copy()
             expected[mirrors] = np.roll(res.X[sources], R // 2, axis=1)
@@ -355,6 +403,6 @@ def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     assert np.array_equal(ma_frft_full(b, x).X, fft_rows_unnormalized(Zin))
     if n % 2:
         Zin = np.hstack([Zin, np.zeros((n, 1), dtype=complex)])
-    r = n // 2 + 1 if variant == "standard" else (n + 1) // 2
+    r, _, _ = mirror_layout(n, variant)
     half = ma_frft_half(b, x, pad_odd=n % 2 == 1)
     assert np.array_equal(half.X[:r], fft_rows_unnormalized(Zin[:r]))
