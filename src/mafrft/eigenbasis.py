@@ -12,14 +12,14 @@ subspaces first, which makes every column exactly symmetric or antisymmetric
 under the reversal operator and sidesteps degenerate eigenvalue pairs of the
 commuting matrix (which only occur across the two symmetry classes).
 
-Cost: the commuting matrix is folded into its two half-size class blocks by
-index arithmetic on the reversal permutation, so the build runs two
+Cost: the two half-size class blocks are folded from the 3N band entries of
+the commuting matrix by one orbit map, which also unfolds their
+eigenvectors; no dense commuting matrix is formed. The build runs two
 half-size ``eigh`` calls and the ``V.T @ V`` orthonormality check as its
 only O(N^3) steps. The commutation and DFT eigen residuals take
-O(N^2 log N): the DFT is never formed densely, but generated a block of rows
-at a time from a twiddle table, or applied as column FFTs. Row and column
-blocks bound the extra memory to about 512 KB per block on top of the real
-N x N matrices.
+O(N^2 log N): the DFT is generated a block of rows at a time from a twiddle
+table, or applied as column FFTs. Row and column blocks bound the extra
+memory to about 512 KB per block on top of ``V`` and ``V.T @ V``.
 """
 
 import struct
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import check_variant, mirror_layout, reversal_permutation
+from .foundation import _twiddles, check_variant, mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
 _VARIANT_CODE = {"standard": 0, "centered": 1}
@@ -43,13 +43,20 @@ class EigenBasis:
 
     vectors: real N x N orthonormal matrix, columns are eigenvectors.
     exponents: length-N integer vector; column k has eigenvalue
-        (-1j)**exponents[k] under the DFT of the given variant.
+        (-1j)**exponents[k] under the DFT of the given variant; must equal
+        :func:`index_vector`, which the transforms rely on.
     """
 
     variant: str
     n: int
     vectors: np.ndarray
     exponents: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.vectors) != (self.n, self.n) or not np.array_equal(
+            self.exponents, index_vector(self.n, self.variant)
+        ):
+            raise ValueError(f"not an n={self.n} {self.variant} basis layout")
 
     @cached_property
     def parity_columns(self) -> tuple:
@@ -116,25 +123,26 @@ def expected_multiplicities(n: int, variant: str = "standard") -> tuple:
 def _commuting_band(n: int, variant: str):
     """Diagonal and periodic off-diagonal of :func:`commuting_matrix`:
     ``S[k, k] = diag[k]`` and ``S[k, k+1 mod N] = S[k+1 mod N, k] = off[k]``,
-    so ``off[N-1]`` is the wraparound corner."""
-    k = np.arange(n)
-    c = 0.0 if variant == "standard" else (n - 1) / 2
-    diag = 2 * np.cos(2 * np.pi * (k - c) / n) - 4
+    so ``off[N-1]`` is the wraparound corner.
+
+    The diagonal is ``2*cos(2*pi*(k - c)/N) - 4`` where ``c`` is the index
+    center of the variant; the corner is -1 for the centered variant with
+    even N, else +1. Raises :class:`CommutationError` if the commutation
+    residual exceeds 1e-8 (an implementation bug, not bad data).
+    """
+    check_variant(variant)
+    if n < 4:
+        raise ValueError("n must be >= 4")
+    u, _ = _twiddles(n, variant)
+    diag = 2 * np.cos(np.pi * u / n) - 4
     off = np.ones(n)
     off[-1] = -1.0 if (variant == "centered" and n % 2 == 0) else 1.0
+    residual = _commutation_residual(diag, off, variant)
+    if residual > 1e-8:
+        raise CommutationError(
+            f"commutation residual {residual:g} for n={n}, variant={variant}"
+        )
     return diag, off
-
-
-def _twiddles(n: int, variant: str):
-    """Integer DFT indices ``u`` and the table ``exp(-2j*pi*t/(4N))``.
-
-    Entry ``(j, k)`` of the unitary DFT is ``table[u[j]*u[k] % 4N] / sqrt(N)``
-    with ``u = 2k`` (standard) or ``u = 2k - (N-1)`` (centered): the phase
-    index is reduced exactly in integers, so large N loses no accuracy.
-    """
-    u = 2 * np.arange(n) - (0 if variant == "standard" else n - 1)
-    table = np.exp(-2j * np.pi * np.arange(4 * n) / (4 * n))
-    return u, table
 
 
 _BLOCK_ELEMENTS = 1 << 15
@@ -203,23 +211,10 @@ def _basis_residuals(V: np.ndarray, exponents: np.ndarray, variant: str):
 
 
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
-    """Real symmetric matrix commuting with the DFT of the given variant.
-
-    Tridiagonal with unit off-diagonals plus wraparound corner entries and
-    diagonal ``2*cos(2*pi*(k - c)/N) - 4`` where ``c`` is the index center
-    of the variant. For the centered variant with even N the corner entries
-    are -1; otherwise +1. Raises :class:`CommutationError` if the
-    commutation residual exceeds 1e-8 (an implementation bug, not bad data).
-    """
-    check_variant(variant)
-    if n < 4:
-        raise ValueError("n must be >= 4")
+    """Real symmetric matrix commuting with the DFT of the given variant:
+    the checked band of :func:`_commuting_band`, densified (tridiagonal plus
+    wraparound corners)."""
     diag, off = _commuting_band(n, variant)
-    residual = _commutation_residual(diag, off, variant)
-    if residual > 1e-8:
-        raise CommutationError(
-            f"commutation residual {residual:g} for n={n}, variant={variant}"
-        )
     k = np.arange(n)
     S = np.diag(diag)
     S[k, (k + 1) % n] = off
@@ -236,24 +231,27 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     vector comes out ascending. Signs are fixed so the first
     largest-magnitude entry of each column is positive.
     """
-    S = commuting_matrix(n, variant)
+    diag, off = _commuting_band(n, variant)
     exponents = index_vector(n, variant)
-    perm = reversal_permutation(n, variant)
     r, c, lo = mirror_layout(n, variant)
+    k = np.arange(n)
+    orbit = np.where(k < r, k, lo + n - 1 - k)  # representative of k's orbit
+    paired = (lo <= orbit) & (orbit < lo + c)
+    i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
     V = np.zeros((n, n))
-    for sign, parity, rows in ((1.0, 0, np.arange(r)), (-1.0, 1, np.arange(lo, lo + c))):
-        # Class basis column a is (e[rows[a]] + sign*e[mirrors[a]]) * scale[a],
-        # with scale 1/2 at fixed points, where the two unit vectors coincide.
-        mirrors = perm[rows]
-        scale = np.where(rows == mirrors, 0.5, 1 / np.sqrt(2))
-        half = S[rows] + sign * S[mirrors]
-        block = (half[:, rows] + sign * half[:, mirrors]) * np.outer(scale, scale)
-        _, U = np.linalg.eigh(block)
-        slots = np.flatnonzero(exponents % 2 == parity)
-        U = U[:, ::-1] * scale[:, None]  # descending eigenvalue order
-        V[np.ix_(rows, slots)] = U
-        V[np.ix_(mirrors, slots)] += sign * U
-    lead = np.abs(V).argmax(axis=0)
+    for sign, parity, live in ((1.0, 0, slice(0, r)), (-1.0, 1, slice(lo, lo + c))):
+        # The class basis vector of orbit a is the sum of w[k] * e[k] over
+        # orbit[k] == a (w is 0 at the odd class's fixed points); the band
+        # entries S[i, j] = s fold into its block.
+        w = np.where(paired, np.where(k < r, 1.0, sign) / np.sqrt(2), (1 + sign) / 2)
+        block = np.zeros((r, r))
+        np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
+        U = np.zeros_like(block[:, live])
+        U[live] = np.linalg.eigh(block[live, live])[1][:, ::-1]  # descending
+        V[:, exponents % 2 == parity] = w[:, None] * U[orbit]
+    # Rows r.. repeat the magnitudes of earlier rows: the first largest entry
+    # of each column lies among the representatives.
+    lead = np.abs(V[:r]).argmax(axis=0)
     V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
 
     orth, eig = _basis_residuals(V, exponents, variant)

@@ -25,8 +25,16 @@ def check_variant(variant: str) -> str:
     return variant
 
 
-def _center(n: int, variant: str) -> float:
-    return 0.0 if variant == "standard" else (n - 1) / 2
+def _twiddles(n: int, variant: str):
+    """Integer DFT indices ``u`` and the table ``exp(-2j*pi*t/(4N))``.
+
+    Entry ``(j, k)`` of the unitary DFT is ``table[u[j]*u[k] % 4N] / sqrt(N)``
+    with ``u = 2k`` (standard) or ``u = 2k - (N-1)`` (centered): the phase
+    index is reduced exactly in integers, so large N loses no accuracy.
+    """
+    u = 2 * np.arange(n) - (0 if variant == "standard" else n - 1)
+    table = np.exp(-2j * np.pi * np.arange(4 * n) / (4 * n))
+    return u, table
 
 
 def dft_matrix(n: int, variant: str = "standard") -> np.ndarray:
@@ -38,8 +46,8 @@ def dft_matrix(n: int, variant: str = "standard") -> np.ndarray:
     check_variant(variant)
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(n) - _center(n, variant)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    u, table = _twiddles(n, variant)
+    return table[np.outer(u, u) % (4 * n)] / np.sqrt(n)
 
 
 def reversal_permutation(n: int, variant: str = "standard") -> np.ndarray:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,8 @@ def _cache_bytes(tmp_path, n=8, variant="standard"):
         pytest.param(lambda data: data[:11] + b"\x07" + data[12:], id="unknown-variant"),
         pytest.param(lambda data: data[:7] + struct.pack("<i", 3) + data[11:], id="n-3"),
         pytest.param(lambda data: data[:7] + struct.pack("<i", -2) + data[11:], id="n-negative"),
+        pytest.param(lambda data: data[:-32] + data[-28:-24] + data[-32:-28] + data[-24:],
+                     id="swapped-exponents"),
     ],
 )
 def test_cache_rejects_corrupt_file(tmp_path, corrupt):
@@ -181,22 +184,11 @@ def test_cache_rejects_corrupt_file(tmp_path, corrupt):
 # --- residual kernels -----------------------------------------------------------
 
 
-def _exact_phase_dft(n, variant):
-    """Dense unitary DFT with the phase index reduced exactly modulo 4N.
-
-    ``dft_matrix`` rounds the phase ``2*pi*j*k/N`` before reducing it, which
-    moves the dense commutation residual by up to ~2e-14 at N <= 64; this
-    matrix has the same entries without that error.
-    """
-    u = 2 * np.arange(n) - (0 if variant == "standard" else n - 1)
-    return np.exp(-2j * np.pi * (np.outer(u, u) % (4 * n)) / (4 * n)) / np.sqrt(n)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(4, 64), variant=st.sampled_from(["standard", "centered"]))
 def test_residual_kernels_match_dense_formulas(n, variant):
     S = commuting_matrix(n, variant)
-    W = _exact_phase_dft(n, variant)
+    W = dft_matrix(n, variant)
     blocked = _commutation_residual(*_commuting_band(n, variant), variant)
     assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
 
@@ -211,7 +203,7 @@ def test_residual_kernels_blocked(monkeypatch):
     monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", 3 * 37)
     for variant in ("standard", "centered"):
         S = commuting_matrix(37, variant)
-        W = _exact_phase_dft(37, variant)
+        W = dft_matrix(37, variant)
         blocked = _commutation_residual(*_commuting_band(37, variant), variant)
         assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
         b = cached_basis(37, variant)
@@ -236,6 +228,18 @@ def test_validate_rejects_swapped_columns(variant):
     report = validate_eigenbasis(EigenBasis(variant, 16, V, b.exponents))
     assert report.eigen_residual > 1e-8
     assert not report.passed
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_rejects_permuted_layout(variant):
+    # A permuted basis would pass validation and frft_apply, but the fast
+    # multi-angle paths read column k as exponent index_vector(n)[k].
+    b = cached_basis(16, variant)
+    order = np.r_[1, 0, 2:16]
+    with pytest.raises(ValueError):
+        EigenBasis(variant, 16, b.vectors[:, order], b.exponents[order])
+    with pytest.raises(ValueError):
+        EigenBasis(variant, 16, b.vectors[:8], b.exponents)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -306,6 +310,20 @@ def test_large_build_validates(n, variant):
     assert report.passed, report
     assert report.multiplicities == expected_multiplicities(n, variant)
     _assert_sign_rule(b.vectors)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_large_build_memory(variant):
+    # Folding S from its band keeps the build's peak below 4 N x N float64
+    # arrays: V, V.T @ V and half-size temporaries.
+    n = 1024
+    tracemalloc.start()
+    try:
+        build_eigenbasis(n, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
