@@ -45,10 +45,13 @@ def make_signal(
     unit-chirp-rate test input). tone: the rate=0 chirp. delta: unit pulse
     at index 0. noise: amplitude-scaled complex Gaussian. Every kind adds
     noise_std-scaled complex Gaussian noise; identical seeds give identical
-    samples.
+    samples. Raises ValueError for n < 4, a NaN or infinite rate, f0,
+    amplitude or noise_std, or a negative amplitude or noise_std.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
+    if not np.isfinite([rate, f0, amplitude, noise_std]).all():
+        raise ValueError("rate, f0, amplitude and noise_std must be finite")
     if amplitude < 0 or noise_std < 0:
         raise ValueError("amplitude and noise_std must be >= 0")
     rng = np.random.default_rng(seed)
@@ -224,6 +227,9 @@ def _cmd_render(args) -> int:
         return EXIT_PARSE
     if re.shape != im.shape or re.size == 0:
         print("render: _re/_im shapes do not match", file=sys.stderr)
+        return EXIT_PARSE
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        print("render: NaN or infinite entry in the matrices", file=sys.stderr)
         return EXIT_PARSE
     mag = np.hypot(re, im)
     peak = mag.max()

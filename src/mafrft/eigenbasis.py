@@ -16,10 +16,14 @@ Cost: the two half-size class blocks are folded from the 3N band entries of
 the commuting matrix by one orbit map, which also unfolds their
 eigenvectors; no dense commuting matrix is formed. The build runs two
 half-size ``eigh`` calls and the ``V.T @ V`` orthonormality check as its
-only O(N^3) steps. The commutation and DFT eigen residuals take
-O(N^2 log N): the DFT is generated a block of rows at a time from a twiddle
-table, or applied as column FFTs. Row and column blocks bound the extra
-memory to about 512 KB per block on top of ``V`` and ``V.T @ V``.
+only O(N^3) steps. The self-checks run once per basis and their report is
+kept: the build raises from it and :func:`validate_eigenbasis` returns it.
+``V.T @ V`` is freed once its maximum is taken, and the symmetry residual
+reads only the representative rows of the reversal orbits. The commutation
+and DFT eigen residuals take O(N^2 log N): the DFT is generated a block of
+rows at a time from a twiddle table, or applied as column FFTs. Row and
+column blocks bound the extra memory to about 512 KB per block on top of
+``V`` and one N x N temporary.
 """
 
 import struct
@@ -45,6 +49,10 @@ class EigenBasis:
     exponents: length-N integer vector; column k has eigenvalue
         (-1j)**exponents[k] under the DFT of the given variant; must equal
         :func:`index_vector`, which the transforms rely on.
+
+    The arrays are frozen (made read-only in place; a view is copied first),
+    so the self-check report that :func:`validate_eigenbasis` returns is
+    computed once, on first use, and cannot go stale.
     """
 
     variant: str
@@ -57,11 +65,35 @@ class EigenBasis:
             self.exponents, index_vector(self.n, self.variant)
         ):
             raise ValueError(f"not an n={self.n} {self.variant} basis layout")
+        for name in ("vectors", "exponents"):
+            a = np.asarray(getattr(self, name))
+            if a.base is not None:  # a view: its base may still be written
+                a = a.copy()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @cached_property
     def parity_columns(self) -> tuple:
         """Indices of the even- and of the odd-exponent columns, found once."""
         return tuple(np.flatnonzero(self.exponents % 2 == p) for p in (0, 1))
+
+    @cached_property
+    def _report(self) -> "ValidationReport":
+        V, ell = self.vectors, self.exponents
+        G = V.T @ V
+        G[np.diag_indices_from(G)] -= 1.0
+        orth = float(np.abs(G, out=G).max())
+        del G
+        # A mirror row's residual repeats its representative's exactly.
+        r = mirror_layout(self.n, self.variant)[0]
+        mirror = reversal_permutation(self.n, self.variant)[:r]
+        return ValidationReport(
+            orthonormality_residual=orth,
+            eigen_residual=_eigen_residual(V, ell, self.variant),
+            symmetry_residual=float(np.abs(V[mirror] - V[:r] * (-1.0) ** ell).max()),
+            multiplicities=tuple(int(np.sum(ell % 4 == q)) for q in range(4)),
+            multiplicities_expected=expected_multiplicities(self.n, self.variant),
+        )
 
 
 @dataclass(frozen=True)
@@ -203,13 +235,6 @@ def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float
     return worst
 
 
-def _basis_residuals(V: np.ndarray, exponents: np.ndarray, variant: str):
-    """Orthonormality and DFT eigen residuals of a basis."""
-    G = V.T @ V
-    G[np.diag_indices_from(G)] -= 1.0
-    return float(np.abs(G, out=G).max()), _eigen_residual(V, exponents, variant)
-
-
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Real symmetric matrix commuting with the DFT of the given variant:
     the checked band of :func:`_commuting_band`, densified (tridiagonal plus
@@ -254,30 +279,20 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     lead = np.abs(V[:r]).argmax(axis=0)
     V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
 
-    orth, eig = _basis_residuals(V, exponents, variant)
+    basis = EigenBasis(variant=variant, n=n, vectors=V, exponents=exponents)
+    orth, eig = basis._report.orthonormality_residual, basis._report.eigen_residual
     if orth > 1e-8:
         raise DegenerateBasis(f"orthonormality residual {orth:g} for n={n}")
     if eig > 1e-8:
         raise EigenMismatch(f"eigen residual {eig:g} for n={n}, variant={variant}")
-    V.setflags(write=False)
-    exponents.setflags(write=False)
-    return EigenBasis(variant=variant, n=n, vectors=V, exponents=exponents)
+    return basis
 
 
 def validate_eigenbasis(basis: EigenBasis) -> ValidationReport:
-    """Self-check residuals and eigenvalue multiplicity counts."""
-    n, V, ell = basis.n, basis.vectors, basis.exponents
-    perm = reversal_permutation(n, basis.variant)
-    orth, eig = _basis_residuals(V, ell, basis.variant)
-    sym = float(np.abs(V[perm, :] - V * (-1.0) ** ell).max())
-    counts = tuple(int(np.sum(ell % 4 == q)) for q in range(4))
-    return ValidationReport(
-        orthonormality_residual=orth,
-        eigen_residual=eig,
-        symmetry_residual=sym,
-        multiplicities=counts,
-        multiplicities_expected=expected_multiplicities(n, basis.variant),
-    )
+    """Self-check residuals and eigenvalue multiplicity counts, computed
+    once per basis: a basis from :func:`build_eigenbasis` already holds them,
+    as the build raises from the same report."""
+    return basis._report
 
 
 def save_basis(basis: EigenBasis, path) -> None:
@@ -295,7 +310,8 @@ def load_basis(path) -> EigenBasis:
     """Read a basis written by :func:`save_basis`.
 
     Raises ValueError for a bad magic, a truncated header, an unknown
-    variant byte, n < 4, or a file length that does not match n.
+    variant byte, n < 4, a file length that does not match n, or a NaN or
+    infinite entry of V.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -315,8 +331,8 @@ def load_basis(path) -> EigenBasis:
         raise ValueError(
             f"{problem}: {len(data)} bytes, expected {expected} for n={n}"
         )
-    V = np.frombuffer(data, "<f8", n * n, _HEADER_BYTES).reshape(n, n).copy()
+    V = np.frombuffer(data, "<f8", n * n, _HEADER_BYTES).reshape(n, n)
+    if not np.isfinite(V).all():
+        raise ValueError(f"non-finite entry in the n={n} basis")
     ell = np.frombuffer(data, "<i4", n, _HEADER_BYTES + 8 * n * n).astype(np.int64)
-    V.setflags(write=False)
-    ell.setflags(write=False)
     return EigenBasis(variant=_VARIANT_NAME[code], n=n, vectors=V, exponents=ell)

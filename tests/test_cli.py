@@ -39,6 +39,14 @@ def test_gen_rejects_small_n(tmp_path):
                 "--out", tmp_path / "x.csv"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--rate", "--f0", "--amplitude", "--noise-std"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_rejects_non_finite_parameter(tmp_path, flag, value):
+    out = tmp_path / "x.csv"
+    assert run(["gen", "--n", 8, "--kind", "chirp", flag, value, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_compute_delta_column_zero(tmp_path):
     sig = tmp_path / "delta.csv"
     run(["gen", "--n", 8, "--kind", "delta", "--out", sig])
@@ -167,6 +175,16 @@ def test_render_zero_matrix_rejected(tmp_path, capsys):
     assert run(["render", "--in-prefix", tmp_path / "z",
                 "--out", tmp_path / "z.pgm"]) == 1
     assert "ZeroSignal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_render_rejects_non_finite_entry(tmp_path, capsys, value):
+    (tmp_path / "m_re.csv").write_text(f"1,2\n3,{value}\n")
+    (tmp_path / "m_im.csv").write_text("0,0\n0,0\n")
+    pgm = tmp_path / "m.pgm"
+    assert run(["render", "--in-prefix", tmp_path / "m", "--out", pgm]) == 2
+    assert "infinite" in capsys.readouterr().err
+    assert not pgm.exists()
 
 
 def test_render_missing_input(tmp_path):

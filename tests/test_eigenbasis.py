@@ -172,6 +172,10 @@ def _cache_bytes(tmp_path, n=8, variant="standard"):
         pytest.param(lambda data: data[:7] + struct.pack("<i", -2) + data[11:], id="n-negative"),
         pytest.param(lambda data: data[:-32] + data[-28:-24] + data[-32:-28] + data[-24:],
                      id="swapped-exponents"),
+        pytest.param(lambda data: data[:12] + struct.pack("<d", np.nan) + data[20:],
+                     id="nan-entry"),
+        pytest.param(lambda data: data[:-40] + struct.pack("<d", -np.inf) + data[-32:],
+                     id="inf-entry"),
     ],
 )
 def test_cache_rejects_corrupt_file(tmp_path, corrupt):
@@ -240,6 +244,56 @@ def test_basis_rejects_permuted_layout(variant):
         EigenBasis(variant, 16, b.vectors[:, order], b.exponents[order])
     with pytest.raises(ValueError):
         EigenBasis(variant, 16, b.vectors[:8], b.exponents)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_freezes_its_arrays(variant):
+    b = cached_basis(16, variant)
+    basis = EigenBasis(variant, 16, b.vectors.copy(), b.exponents.copy())
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis.exponents[0] = 1
+    # A view is copied, so writing through its base leaves the basis intact.
+    W = b.vectors.copy()
+    viewed = EigenBasis(variant, 16, W[:], b.exponents)
+    assert not np.shares_memory(viewed.vectors, W)
+    W[0, 0] += 1.0
+    assert np.array_equal(viewed.vectors, b.vectors)
+    assert validate_eigenbasis(viewed).passed
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_build_and_validate_share_one_self_check(monkeypatch, variant):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _eigen_residual(*args)
+
+    monkeypatch.setattr(eigenbasis, "_eigen_residual", counted)
+    b = build_eigenbasis(16, variant)
+    assert validate_eigenbasis(b).passed
+    assert validate_eigenbasis(b) is validate_eigenbasis(b)
+    assert len(calls) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 128),
+    variant=st.sampled_from(["standard", "centered"]),
+    scale=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symmetry_residual_matches_full_permutation(n, variant, scale, seed):
+    # The report reads only the representative rows; the reference is the
+    # residual over every row.
+    b = cached_basis(n, variant)
+    V = b.vectors + scale * np.random.default_rng(seed).standard_normal((n, n))
+    basis = b if scale == 0.0 else EigenBasis(variant, n, V, b.exponents)
+    perm = reversal_permutation(n, variant)
+    full = float(np.abs(V[perm] - V * (-1.0) ** b.exponents).max())
+    assert validate_eigenbasis(basis).symmetry_residual == full
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -324,6 +378,24 @@ def test_large_build_memory(variant):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_loaded_validate_memory(tmp_path, variant):
+    # A loaded basis has no report yet. V.T @ V is freed before the symmetry
+    # residual, which reads only the representative rows, so validating
+    # stays below 1.5 N x N float64 arrays on top of V.
+    n = 1024
+    path = tmp_path / "basis.bin"
+    save_basis(build_eigenbasis(n, variant), path)
+    loaded = load_basis(path)
+    tracemalloc.start()
+    try:
+        assert validate_eigenbasis(loaded).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
