@@ -1,8 +1,9 @@
 """Orthonormal real DFT/CDFT eigenvector bases.
 
 A basis pairs a real orthonormal matrix ``vectors`` (columns are DFT
-eigenvectors resembling Hermite-Gaussian functions) with an integer vector
-``exponents`` such that column ``k`` has DFT eigenvalue ``(-1j)**exponents[k]``.
+eigenvectors resembling Hermite-Gaussian functions) with the integer vector
+``exponents = index_vector(n, variant)``, derived from the variant and N:
+column ``k`` has DFT eigenvalue ``(-1j)**exponents[k]``.
 The eigenvectors come from a real symmetric matrix that commutes with the
 DFT (tridiagonal plus wraparound corners); its non-degenerate eigenvectors
 are automatically DFT eigenvectors, ordered by zero-crossing count.
@@ -27,7 +28,7 @@ column blocks bound the extra memory to about 512 KB per block on top of
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,37 +46,32 @@ _HEADER_BYTES = len(CACHE_MAGIC) + 5  # magic, int32 n, variant byte
 class EigenBasis:
     """Reusable eigendecomposition of a DFT matrix.
 
-    vectors: real N x N orthonormal matrix, columns are eigenvectors.
-    exponents: length-N integer vector; column k has eigenvalue
-        (-1j)**exponents[k] under the DFT of the given variant; must equal
-        :func:`index_vector`, which the transforms rely on.
+    ``vectors``: a real, finite N x N orthonormal matrix whose columns are
+    eigenvectors, or the constructor raises ValueError. ``n`` and
+    ``exponents = index_vector(n, variant)`` are derived: column k has
+    eigenvalue ``(-1j)**exponents[k]`` under the DFT of the variant.
 
-    The arrays are frozen (made read-only in place; a view is copied first),
-    so the self-check report that :func:`validate_eigenbasis` returns is
+    Both arrays are read-only. ``vectors`` is kept as given only if it is
+    read-only and owns its data; a view or a writable array is copied. So
+    the self-check report that :func:`validate_eigenbasis` returns is
     computed once, on first use, and cannot go stale.
     """
 
     variant: str
-    n: int
     vectors: np.ndarray
-    exponents: np.ndarray
+    n: int = field(init=False)
+    exponents: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if np.shape(self.vectors) != (self.n, self.n) or not np.array_equal(
-            self.exponents, index_vector(self.n, self.variant)
-        ):
-            raise ValueError(f"not an n={self.n} {self.variant} basis layout")
-        for name in ("vectors", "exponents"):
-            a = np.asarray(getattr(self, name))
-            if a.base is not None:  # a view: its base may still be written
-                a = a.copy()
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @cached_property
-    def parity_columns(self) -> tuple:
-        """Indices of the even- and of the odd-exponent columns, found once."""
-        return tuple(np.flatnonzero(self.exponents % 2 == p) for p in (0, 1))
+        V = np.asarray(self.vectors)
+        if not (V.dtype.kind in "fiu" and V.ndim == 2 and len(V) == V.shape[1]
+                and np.isfinite(V).all()):
+            raise ValueError(f"not a real, finite, square matrix: {V.dtype} {V.shape}")
+        V = V.astype(float, copy=V.flags.writeable or not V.flags.owndata)
+        ell = index_vector(len(V), self.variant)
+        V.flags.writeable = ell.flags.writeable = False
+        for name, value in (("vectors", V), ("n", len(V)), ("exponents", ell)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def _report(self) -> "ValidationReport":
@@ -257,7 +253,6 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     largest-magnitude entry of each column is positive.
     """
     diag, off = _commuting_band(n, variant)
-    exponents = index_vector(n, variant)
     r, c, lo = mirror_layout(n, variant)
     k = np.arange(n)
     orbit = np.where(k < r, k, lo + n - 1 - k)  # representative of k's orbit
@@ -273,13 +268,14 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
         np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
         U = np.zeros_like(block[:, live])
         U[live] = np.linalg.eigh(block[live, live])[1][:, ::-1]  # descending
-        V[:, exponents % 2 == parity] = w[:, None] * U[orbit]
+        V[:, index_vector(n, variant) % 2 == parity] = w[:, None] * U[orbit]
     # Rows r.. repeat the magnitudes of earlier rows: the first largest entry
     # of each column lies among the representatives.
     lead = np.abs(V[:r]).argmax(axis=0)
     V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
 
-    basis = EigenBasis(variant=variant, n=n, vectors=V, exponents=exponents)
+    V.flags.writeable = False  # kept by the basis without a copy
+    basis = EigenBasis(variant, V)
     orth, eig = basis._report.orthonormality_residual, basis._report.eigen_residual
     if orth > 1e-8:
         raise DegenerateBasis(f"orthonormality residual {orth:g} for n={n}")
@@ -310,8 +306,10 @@ def load_basis(path) -> EigenBasis:
     """Read a basis written by :func:`save_basis`.
 
     Raises ValueError for a bad magic, a truncated header, an unknown
-    variant byte, n < 4, a file length that does not match n, or a NaN or
-    infinite entry of V.
+    variant byte, n < 4, a file length that does not match n, or exponents
+    other than :func:`index_vector`; the :class:`EigenBasis` constructor
+    raises it for a NaN or infinite entry of V, and copies V out of the
+    file's bytes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -331,8 +329,8 @@ def load_basis(path) -> EigenBasis:
         raise ValueError(
             f"{problem}: {len(data)} bytes, expected {expected} for n={n}"
         )
+    ell = np.frombuffer(data, "<i4", n, _HEADER_BYTES + 8 * n * n)
+    if not np.array_equal(ell, index_vector(n, _VARIANT_NAME[code])):
+        raise ValueError(f"exponents differ from index_vector for n={n}")
     V = np.frombuffer(data, "<f8", n * n, _HEADER_BYTES).reshape(n, n)
-    if not np.isfinite(V).all():
-        raise ValueError(f"non-finite entry in the n={n} basis")
-    ell = np.frombuffer(data, "<i4", n, _HEADER_BYTES + 8 * n * n).astype(np.int64)
-    return EigenBasis(variant=_VARIANT_NAME[code], n=n, vectors=V, exponents=ell)
+    return EigenBasis(_VARIANT_NAME[code], V)

@@ -36,6 +36,8 @@ def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
+    if np.iscomplexobj(a) or not np.isfinite(a):
+        raise ValueError(f"order must be a finite real number, got {a!r}")
     return np.exp(-1j * (np.pi / 2) * basis.exponents * a)
 
 
@@ -50,7 +52,11 @@ def frft_matrix(basis: EigenBasis, a: float) -> np.ndarray:
 
 
 def frft_apply(basis: EigenBasis, a: float, x: np.ndarray) -> np.ndarray:
-    """Apply the order-``a`` transform to a signal without forming the matrix."""
+    """Apply the order-``a`` transform to a signal without forming the matrix.
+
+    Raises ValueError unless ``a`` is a finite real number, here and in
+    :func:`frft_matrix`.
+    """
     x = _check_signal(basis, x)
     V = basis.vectors
     return _real_matvec(V, _eigenvalue_powers(basis, a) * _real_matvec(V.T, x))

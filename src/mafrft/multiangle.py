@@ -67,18 +67,24 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
 
 
 def _change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
+    """Runs on slices of V: the even class (r columns) is ``V[:r, 0:m:2]``
+    and the odd class (c columns) ``V[lo:lo+c, 1:m:2]``, with ``m = N``; for
+    the standard variant with even N, ``m = N-1`` and column N-1 (exponent
+    N) is one more dot product with the even part."""
     n, V = basis.n, basis.vectors
     r, c, lo = mirror_layout(n, basis.variant)
-    even, odd = basis.parity_columns
+    m = n - _folds(basis)
     mirrored = np.concatenate((x[:lo], x[n - r + lo:][::-1]))  # x at mirrors
     xe = x[:r] + mirrored
     xe[:lo] *= 0.5                    # fixed points are their own mirror
     xe[lo + c:] *= 0.5
     xo = x[lo:lo + c] - mirrored[lo:lo + c]  # fixed points have no odd part
     y = np.empty(n, dtype=complex)
-    y[even] = _real_matvec(np.take(V[:r], even, axis=1).T, xe)
-    y[odd] = _real_matvec(np.take(V[lo:lo + c], odd, axis=1).T, xo)
-    counters.multiplies += r * len(even) + c * len(odd) + r - c
+    y[0:m:2] = _real_matvec(V[:r, 0:m:2].T, xe)
+    y[1:m:2] = _real_matvec(V[lo:lo + c, 1:m:2].T, xo)
+    if m < n:
+        y[m] = V[:r, m] @ xe
+    counters.multiplies += r * r + c * c + r - c
     return y
 
 

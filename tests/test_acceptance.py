@@ -184,8 +184,7 @@ def test_criterion_8_property_suite():
             ok &= np.abs(Xc[:, (r + 5) % 10] - P @ Xc[:, r]).max() < 1e-8
         # sign-flip invariance
         flips = rng.choice([-1.0, 1.0], size=10)
-        flipped = EigenBasis(variant=b.variant, n=b.n,
-                             vectors=b.vectors * flips, exponents=b.exponents)
+        flipped = EigenBasis(b.variant, b.vectors * flips)
         ok &= np.abs(ma_frft_full(b, x).X - ma_frft_full(flipped, x).X).max() < 1e-10
     elapsed = time.monotonic() - t0
     report(8, f"property suite ({elapsed:.1f}s)", ok and elapsed < 60)

@@ -1,5 +1,7 @@
+import dataclasses
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,38 +231,100 @@ def test_validate_rejects_swapped_columns(variant):
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V[:, [3, 4]] = V[:, [4, 3]]
-    report = validate_eigenbasis(EigenBasis(variant, 16, V, b.exponents))
+    report = validate_eigenbasis(EigenBasis(variant, V))
     assert report.eigen_residual > 1e-8
     assert not report.passed
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_basis_rejects_permuted_layout(variant):
-    # A permuted basis would pass validation and frft_apply, but the fast
-    # multi-angle paths read column k as exponent index_vector(n)[k].
+    # The exponents are derived, so a permuted layout cannot be passed in
+    # (a V with permuted columns fails validation instead); a V that is not
+    # N x N still raises.
     b = cached_basis(16, variant)
-    order = np.r_[1, 0, 2:16]
     with pytest.raises(ValueError):
-        EigenBasis(variant, 16, b.vectors[:, order], b.exponents[order])
-    with pytest.raises(ValueError):
-        EigenBasis(variant, 16, b.vectors[:8], b.exponents)
+        EigenBasis(variant, b.vectors[:8])
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_basis_freezes_its_arrays(variant):
     b = cached_basis(16, variant)
-    basis = EigenBasis(variant, 16, b.vectors.copy(), b.exponents.copy())
+    basis = EigenBasis(variant, b.vectors.copy())
     with pytest.raises(ValueError):
         basis.vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
         basis.exponents[0] = 1
     # A view is copied, so writing through its base leaves the basis intact.
     W = b.vectors.copy()
-    viewed = EigenBasis(variant, 16, W[:], b.exponents)
+    viewed = EigenBasis(variant, W[:])
     assert not np.shares_memory(viewed.vectors, W)
     W[0, 0] += 1.0
     assert np.array_equal(viewed.vectors, b.vectors)
     assert validate_eigenbasis(viewed).passed
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_view_taken_before_construction_cannot_change_the_basis(variant):
+    b = cached_basis(16, variant)
+    W = b.vectors.copy()
+    w = W[:]
+    basis = EigenBasis(variant, W)
+    report = validate_eigenbasis(basis)
+    assert report.passed
+    w[3, 2] += 1e-3
+    assert np.array_equal(basis.vectors, b.vectors)
+    assert validate_eigenbasis(basis) is report
+    assert validate_eigenbasis(EigenBasis(variant, basis.vectors)) == report
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_keeps_only_read_only_owned_arrays(tmp_path, variant):
+    b = cached_basis(16, variant)
+    V = b.vectors.copy()
+    V.flags.writeable = False
+    assert EigenBasis(variant, V).vectors is V
+    assert not np.shares_memory(EigenBasis(variant, V[:]).vectors, V)
+    single = b.vectors.astype(np.float32)
+    single.flags.writeable = False
+    assert EigenBasis(variant, single).vectors.dtype == np.float64
+    save_basis(b, tmp_path / "basis.bin")
+    assert load_basis(tmp_path / "basis.bin").vectors.flags.owndata
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_rejects_non_finite_entry(variant, bad):
+    V = cached_basis(16, variant).vectors.copy()
+    V[5, 2] = bad
+    with pytest.raises(ValueError):
+        EigenBasis(variant, V)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_rejects_complex_vectors_without_a_warning(variant):
+    V = cached_basis(16, variant).vectors.astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            EigenBasis(variant, V)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_layout_is_derived_and_read_only(tmp_path, variant):
+    b = cached_basis(16, variant)
+    save_basis(b, tmp_path / "basis.bin")
+    with pytest.raises(TypeError):
+        EigenBasis(variant, b.vectors, exponents=b.exponents)
+    for basis in (b, load_basis(tmp_path / "basis.bin"),
+                  EigenBasis(variant, b.vectors.tolist())):
+        assert basis.n == 16
+        assert np.array_equal(basis.exponents, index_vector(16, variant))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.n = 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            basis.exponents = np.arange(16)
+        with pytest.raises(ValueError):
+            basis.exponents[0] = 1
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -290,7 +354,7 @@ def test_symmetry_residual_matches_full_permutation(n, variant, scale, seed):
     # residual over every row.
     b = cached_basis(n, variant)
     V = b.vectors + scale * np.random.default_rng(seed).standard_normal((n, n))
-    basis = b if scale == 0.0 else EigenBasis(variant, n, V, b.exponents)
+    basis = b if scale == 0.0 else EigenBasis(variant, V)
     perm = reversal_permutation(n, variant)
     full = float(np.abs(V[perm] - V * (-1.0) ** b.exponents).max())
     assert validate_eigenbasis(basis).symmetry_residual == full
@@ -301,7 +365,7 @@ def test_validate_rejects_perturbed_entry(variant):
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V[5, 2] += 1e-6
-    report = validate_eigenbasis(EigenBasis(variant, 16, V, b.exponents))
+    report = validate_eigenbasis(EigenBasis(variant, V))
     assert report.orthonormality_residual > 1e-10
     assert not report.passed
 

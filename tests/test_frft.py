@@ -83,11 +83,19 @@ def test_sign_flip_invariance(basis_of):
     b = basis_of(8, "centered")
     rng = np.random.default_rng(7)
     flips = rng.choice([-1.0, 1.0], size=8)
-    flipped = EigenBasis(
-        variant=b.variant, n=b.n, vectors=b.vectors * flips, exponents=b.exponents
-    )
+    flipped = EigenBasis(b.variant, b.vectors * flips)
     for a in (0.5, 1.3):
         assert np.abs(frft_matrix(b, a) - frft_matrix(flipped, a)).max() < 1e-10
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, 0.5 + 0.5j, 1 + 0j])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_or_complex_order_raises(variant, a, basis_of):
+    b = basis_of(16, variant)
+    with pytest.raises(ValueError):
+        frft_apply(b, a, random_signal(16))
+    with pytest.raises(ValueError):
+        frft_matrix(b, a)
 
 
 def test_apply_length_mismatch(basis_of):
