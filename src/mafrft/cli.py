@@ -1,12 +1,23 @@
 """Command-line interface: gen, compute, validate, bench, render.
 
 File formats:
-  signal CSV      one sample per line, "re,im", 17 significant digits
+  signal CSV      one sample per line, "re,im", 17 significant digits;
+                  blank lines are skipped, anything else that is not two
+                  numbers ("#" lines, ragged rows) is a parse error
   matrix output   <prefix>_re.csv and <prefix>_im.csv (N rows, R columns)
                   plus <prefix>_orders.csv (single row of R order values)
   render output   binary PGM ("P5"), width R, height N, maxval 255
 
-Exit codes: 0 ok, 1 validation failure, 2 parse/IO error, 3 flag conflict.
+Exit codes, from the exception a command raises (``EXIT_CODES``, first match):
+  0  ok
+  3  flag conflict: OddWithoutPad
+  1  validation failure: ZeroSignal, DegenerateBasis, EigenMismatch,
+     CommutationError
+  2  parse or I/O error: any other ValueError (NonFiniteSignal included)
+     or OSError
+A mapped exception prints one line to stderr,
+``<command>: <ExceptionType>: <message>``; any other exception is a bug and
+keeps its traceback.
 """
 
 import argparse
@@ -14,19 +25,27 @@ import json
 import statistics
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .eigenbasis import build_eigenbasis, validate_eigenbasis
 from .counters import counters
-from .exceptions import NonFiniteSignal, OddWithoutPad, ZeroSignal
+from .exceptions import (
+    CommutationError, DegenerateBasis, EigenMismatch, OddWithoutPad, ZeroSignal,
+)
+from .foundation import VARIANTS
 from .multiangle import ma_frft_full, ma_frft_half, ma_frft_naive
 
-EXIT_OK = 0
-EXIT_VALIDATION = 1
-EXIT_PARSE = 2
-EXIT_CONFLICT = 3
+# The one exit-code policy: the first row whose types match the exception a
+# command raised gives the exit code; 0 means the command returned.
+EXIT_CODES = (
+    (OddWithoutPad, 3),  # flag conflict
+    ((ZeroSignal, DegenerateBasis, EigenMismatch, CommutationError), 1),  # validation
+    ((ValueError, OSError), 2),  # parse or I/O error, NonFiniteSignal included
+)
+_CSV = dict(fmt="%.17g", delimiter=",")
 
 
 def make_signal(
@@ -79,92 +98,51 @@ def make_signal(
 
 
 def write_signal(x: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        for z in x:
-            fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
+    x = np.asarray(x)
+    np.savetxt(path, np.column_stack((x.real, x.imag)), **_CSV)
 
 
 def read_signal(path) -> np.ndarray:
-    samples = []
+    rows = _read_csv(path)
+    if rows.shape[1] != 2:
+        raise ValueError(f"expected 2 columns (re,im), got {rows.shape[1]} in {path}")
+    return rows.view(complex)[:, 0]  # exact, unlike re + 1j*im
+
+
+def _read_csv(path) -> np.ndarray:
+    """Rows of a comma-separated float file; blank lines are skipped."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            re_s, im_s = line.split(",")
-            samples.append(complex(float(re_s), float(im_s)))
-    if not samples:
-        raise ValueError(f"no samples in {path}")
-    return np.array(samples)
+        lines = [line for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"no rows in {path}")
+    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
 
-def _write_matrix_csv(M: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+def _paths(pad_odd: bool) -> dict:
+    """The transform paths by name; ``half`` pads an odd length iff pad_odd."""
+    return {"naive": ma_frft_naive, "full": ma_frft_full,
+            "half": partial(ma_frft_half, pad_odd=pad_odd)}
 
 
-def _read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return np.array(rows)
+def _cmd_gen(args) -> None:
+    x = make_signal(
+        args.n, args.kind, args.rate, args.f0, args.amplitude,
+        args.noise_std, args.seed,
+    )
+    write_signal(x, args.out)
 
 
-def _cmd_gen(args) -> int:
-    try:
-        x = make_signal(
-            args.n, args.kind, args.rate, args.f0, args.amplitude,
-            args.noise_std, args.seed,
-        )
-        write_signal(x, args.out)
-    except (ValueError, OSError) as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return EXIT_OK
+def _cmd_compute(args) -> None:
+    x = read_signal(args.input)
+    basis = build_eigenbasis(len(x), args.variant)
+    result = _paths(args.pad_odd)[args.path](basis, x)
+    for part, M in (("re", result.X.real), ("im", result.X.imag),
+                    ("orders", result.orders[None, :])):
+        np.savetxt(f"{args.out_prefix}_{part}.csv", M, **_CSV)
 
 
-def _cmd_compute(args) -> int:
-    try:
-        x = read_signal(args.input)
-    except (ValueError, OSError) as exc:
-        print(f"compute: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    n = len(x)
-    try:
-        basis = build_eigenbasis(n, args.variant)
-    except ValueError as exc:
-        print(f"compute: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        if args.path == "naive":
-            result = ma_frft_naive(basis, x)
-        elif args.path == "full":
-            result = ma_frft_full(basis, x)
-        else:
-            result = ma_frft_half(basis, x, pad_odd=args.pad_odd)
-    except OddWithoutPad as exc:
-        print(f"compute: flag conflict (OddWithoutPad): {exc}", file=sys.stderr)
-        return EXIT_CONFLICT
-    except NonFiniteSignal as exc:
-        print(f"compute: bad input (NonFiniteSignal): {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    _write_matrix_csv(result.X.real, f"{args.out_prefix}_re.csv")
-    _write_matrix_csv(result.X.imag, f"{args.out_prefix}_im.csv")
-    _write_matrix_csv(result.orders[None, :], f"{args.out_prefix}_orders.csv")
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    if args.n < 4:
-        print(f"validate: n must be >= 4, got {args.n}", file=sys.stderr)
-        return EXIT_PARSE
-    basis = build_eigenbasis(args.n, args.variant)
-    report = validate_eigenbasis(basis)
+def _cmd_validate(args) -> None:
+    report = validate_eigenbasis(build_eigenbasis(args.n, args.variant))
     print(json.dumps({
         "orthonormality_residual": report.orthonormality_residual,
         "eigen_residual": report.eigen_residual,
@@ -173,80 +151,53 @@ def _cmd_validate(args) -> int:
         "expected": list(report.multiplicities_expected),
         "pass": report.passed,
     }))
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    if not report.passed:
+        raise DegenerateBasis(f"self-check failed for n={args.n} (report on stdout)")
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.n.split(",")]
-    except ValueError as exc:
-        print(f"bench: bad size list: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if args.reps < 1:
-        print("bench: reps must be >= 1", file=sys.stderr)
-        return EXIT_PARSE
-    for n in sizes:
-        if n < 4:
-            print(f"bench: n must be >= 4, got {n}", file=sys.stderr)
-            return EXIT_PARSE
+def _cmd_bench(args) -> None:
+    sizes = [int(s) for s in args.n.split(",")]
+    if min(sizes) < 4 or args.reps < 1:
+        raise ValueError(f"need sizes >= 4 and reps >= 1, got {args.n!r}, {args.reps}")
     rng = np.random.default_rng(0)
     print("n,path,wall_ns_median,fft_count")
     for n in sizes:
         basis = build_eigenbasis(n, args.variant)
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         medians = {}
-        for path, fn in (
-            ("naive", lambda: ma_frft_naive(basis, x)),
-            ("full", lambda: ma_frft_full(basis, x)),
-            ("half", lambda: ma_frft_half(basis, x, pad_odd=n % 2 == 1)),
-        ):
+        for path, fn in _paths(n % 2 == 1).items():
             times = []
             for _ in range(args.reps):
                 counters.reset()
                 t0 = time.perf_counter_ns()
-                fn()
+                fn(basis, x)
                 times.append(time.perf_counter_ns() - t0)
             fft_count = 0 if path == "naive" else counters.fft_calls
-            med = int(statistics.median(times))
-            medians[path] = med
-            print(f"{n},{path},{med},{fft_count}")
+            medians[path] = int(statistics.median(times))
+            print(f"{n},{path},{medians[path]},{fft_count}")
         if medians["half"] >= medians["full"]:
             print(
                 f"bench: warning: half path not faster than full at n={n}",
                 file=sys.stderr,
             )
-    return EXIT_OK
 
 
-def _cmd_render(args) -> int:
-    try:
-        re = _read_matrix_csv(f"{args.in_prefix}_re.csv")
-        im = _read_matrix_csv(f"{args.in_prefix}_im.csv")
-    except (ValueError, OSError) as exc:
-        print(f"render: cannot read matrices: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if re.shape != im.shape or re.size == 0:
-        print("render: _re/_im shapes do not match", file=sys.stderr)
-        return EXIT_PARSE
+def _cmd_render(args) -> None:
+    re = _read_csv(f"{args.in_prefix}_re.csv")
+    im = _read_csv(f"{args.in_prefix}_im.csv")
+    if re.shape != im.shape:
+        raise ValueError(f"_re/_im shapes {re.shape} and {im.shape} do not match")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        print("render: NaN or infinite entry in the matrices", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("NaN or infinite entry in the matrices")
     mag = np.hypot(re, im)
     peak = mag.max()
     if peak == 0.0:
-        print("render: ZeroSignal: all-zero matrix has no magnitude image",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ZeroSignal("all-zero matrix has no magnitude image")
     pixels = np.round(255 * mag / peak).astype(np.uint8)
     height, width = pixels.shape
-    try:
-        with open(args.out, "wb") as fh:
-            fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-            fh.write(pixels.tobytes())
-    except OSError as exc:
-        print(f"render: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return EXIT_OK
+    with open(args.out, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compute", help="run a multiangle transform")
     comp.add_argument("--input", required=True)
-    comp.add_argument("--variant", choices=("standard", "centered"),
-                      default="standard")
+    comp.add_argument("--variant", choices=VARIANTS, default="standard")
     comp.add_argument("--path", choices=("naive", "full", "half"),
                       default="full")
     comp.add_argument("--pad-odd", dest="pad_odd", action="store_true")
@@ -281,16 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="self-check an eigenbasis")
     val.add_argument("--n", type=int, required=True)
-    val.add_argument("--variant", choices=("standard", "centered"),
-                     default="standard")
+    val.add_argument("--variant", choices=VARIANTS, default="standard")
     val.set_defaults(func=_cmd_validate)
 
     bench = sub.add_parser("bench", help="time the transform paths")
     bench.add_argument("--n", required=True,
                        help="comma-separated sizes, each >= 4 (odd sizes "
                        "run the padded half path)")
-    bench.add_argument("--variant", choices=("standard", "centered"),
-                       default="standard")
+    bench.add_argument("--variant", choices=VARIANTS, default="standard")
     bench.add_argument("--reps", type=int, default=5)
     bench.set_defaults(func=_cmd_bench)
 
@@ -303,7 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except Exception as exc:
+        for types, code in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return code
+        raise  # anything else is a bug: keep the traceback
+    return 0
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ column blocks bound the extra memory to about 512 KB per block on top of
 ``V`` and one N x N temporary.
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -308,29 +309,32 @@ def load_basis(path) -> EigenBasis:
     Raises ValueError for a bad magic, a truncated header, an unknown
     variant byte, n < 4, a file length that does not match n, or exponents
     other than :func:`index_vector`; the :class:`EigenBasis` constructor
-    raises it for a NaN or infinite entry of V, and copies V out of the
-    file's bytes.
+    raises it for a NaN or infinite entry of V. The header is checked against
+    the file length before V is allocated, and V is read straight into the
+    array the basis keeps, so loading peaks at about V.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    magic = data[: len(CACHE_MAGIC)]
-    if magic != CACHE_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    if len(data) < _HEADER_BYTES:
-        raise ValueError(f"truncated header: {len(data)} bytes")
-    n, code = struct.unpack_from("<iB", data, len(CACHE_MAGIC))
-    if code not in _VARIANT_NAME:
-        raise ValueError(f"unknown variant byte {code}")
-    if n < 4:
-        raise ValueError(f"basis size {n} < 4")
-    expected = _HEADER_BYTES + 8 * n * n + 4 * n
-    if len(data) != expected:
-        problem = "truncated" if len(data) < expected else "trailing bytes"
-        raise ValueError(
-            f"{problem}: {len(data)} bytes, expected {expected} for n={n}"
-        )
-    ell = np.frombuffer(data, "<i4", n, _HEADER_BYTES + 8 * n * n)
+        header = fh.read(_HEADER_BYTES)
+        magic = header[: len(CACHE_MAGIC)]
+        if magic != CACHE_MAGIC:
+            raise ValueError(f"bad magic {magic!r}")
+        if len(header) < _HEADER_BYTES:
+            raise ValueError(f"truncated header: {len(header)} bytes")
+        n, code = struct.unpack_from("<iB", header, len(CACHE_MAGIC))
+        if code not in _VARIANT_NAME:
+            raise ValueError(f"unknown variant byte {code}")
+        if n < 4:
+            raise ValueError(f"basis size {n} < 4")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER_BYTES + 8 * n * n + 4 * n
+        if size != expected:
+            problem = "truncated" if size < expected else "trailing bytes"
+            raise ValueError(f"{problem}: {size} bytes, expected {expected} for n={n}")
+        V = np.empty((n, n), "<f8")
+        if fh.readinto(V) != V.nbytes:
+            raise ValueError(f"file shrank while reading: expected {expected} bytes")
+        ell = np.frombuffer(fh.read(4 * n), "<i4")
     if not np.array_equal(ell, index_vector(n, _VARIANT_NAME[code])):
         raise ValueError(f"exponents differ from index_vector for n={n}")
-    V = np.frombuffer(data, "<f8", n * n, _HEADER_BYTES).reshape(n, n)
+    V.flags.writeable = False  # kept by the basis without a copy
     return EigenBasis(_VARIANT_NAME[code], V)

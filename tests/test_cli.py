@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from mafrft.cli import main, make_signal, read_signal
+from mafrft import DegenerateBasis, EigenMismatch
+from mafrft.cli import main, make_signal, read_signal, write_signal
 
 
 def run(argv):
@@ -211,3 +214,87 @@ def test_make_signal_unit_chirp_matches_cli_convention():
     idx = np.arange(8)
     expected = np.exp(1j * (np.pi * idx**2 / 8 - 2 * np.pi * 3.5 * idx / 8))
     assert np.abs(x - expected).max() < 1e-15
+
+
+# --- exit-code policy ------------------------------------------------------------
+
+
+def test_compute_unwritable_out_prefix_is_io_error(tmp_path, capsys):
+    sig = tmp_path / "sig.csv"
+    run(["gen", "--n", 8, "--kind", "delta", "--out", sig])
+    capsys.readouterr()
+    assert run(["compute", "--input", sig,
+                "--out-prefix", tmp_path / "missing" / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("compute: FileNotFoundError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [EigenMismatch, DegenerateBasis])
+@pytest.mark.parametrize("command", ["validate", "compute"])
+def test_basis_failure_is_validation_failure(tmp_path, capsys, monkeypatch,
+                                             exc, command):
+    sig = tmp_path / "sig.csv"
+    run(["gen", "--n", 8, "--kind", "delta", "--out", sig])
+
+    def broken(n, variant):
+        raise exc("broken basis")
+
+    monkeypatch.setattr("mafrft.cli.build_eigenbasis", broken)
+    argv = {"validate": ["validate", "--n", 8],
+            "compute": ["compute", "--input", sig, "--out-prefix", tmp_path / "o"]}
+    capsys.readouterr()
+    assert run(argv[command]) == 1
+    assert capsys.readouterr().err == f"{command}: {exc.__name__}: broken basis\n"
+
+
+def test_unmapped_exception_keeps_its_traceback(monkeypatch):
+    def broken(n, variant):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr("mafrft.cli.build_eigenbasis", broken)
+    with pytest.raises(RuntimeError, match="a bug"):
+        run(["validate", "--n", 8])
+
+
+# --- signal CSV format -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"])
+def test_compute_empty_signal_file_is_parse_error(tmp_path, capsys, text):
+    sig = tmp_path / "empty.csv"
+    sig.write_text(text)
+    assert run(["compute", "--input", sig, "--out-prefix", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("compute: ValueError: no rows")
+
+
+def test_read_signal_skips_whitespace_only_lines(tmp_path):
+    sig = tmp_path / "sig.csv"
+    sig.write_text("1,2\n   \n3,-4\n\t\n\n5,6\n")
+    assert np.array_equal(read_signal(sig), [1 + 2j, 3 - 4j, 5 + 6j])
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("# comment\n" + "1,0\n" * 4, id="hash-line"),
+    pytest.param("1\n0\n0\n0\n", id="one-column"),
+    pytest.param("1,0,0\n" * 4, id="three-columns"),
+    pytest.param("1,0\n0,0,0\n0,0\n0,0\n", id="ragged"),
+])
+def test_compute_malformed_signal_is_parse_error(tmp_path, capsys, text):
+    sig = tmp_path / "bad.csv"
+    sig.write_text(text)
+    assert run(["compute", "--input", sig, "--out-prefix", tmp_path / "x"]) == 2
+    assert capsys.readouterr().err.startswith("compute: ValueError: ")
+    assert not (tmp_path / "x_re.csv").exists()
+
+
+_floats = st.floats(allow_nan=False)
+
+
+@given(st.lists(st.tuples(_floats, _floats), min_size=1, max_size=16))
+@example([(-0.0, 0.0), (5e-324, -2.2250738585072014e-308), (1e308, -1e308)])
+@example([(0.0, np.inf), (-0.0, -np.inf)])
+def test_signal_round_trip_is_bit_exact(tmp_path_factory, pairs):
+    x = np.array(pairs).view(complex)[:, 0]
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_signal(x, path)
+    assert read_signal(path).tobytes() == x.tobytes()

@@ -463,6 +463,38 @@ def test_loaded_validate_memory(tmp_path, variant):
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_load_memory(tmp_path, variant):
+    # V is read straight into the array the basis keeps, with no second copy
+    # of it in the file's bytes.
+    n = 512
+    path = tmp_path / "basis.bin"
+    save_basis(cached_basis(n, variant), path)
+    tracemalloc.start()
+    try:
+        loaded = load_basis(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.vectors, cached_basis(n, variant).vectors)
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_load_checks_length_before_allocating(tmp_path):
+    # A corrupted n of 2**15 would ask for an 8 GiB V; the file length
+    # rejects it first.
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(data[:7] + struct.pack("<i", 2**15) + data[11:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            load_basis(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_sign_rule_first_largest_entry_positive(variant):
     for n in range(4, 65):
         _assert_sign_rule(cached_basis(n, variant).vectors)
