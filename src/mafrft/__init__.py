@@ -15,7 +15,6 @@ from .eigenbasis import (
     ValidationReport,
     build_eigenbasis,
     commuting_matrix,
-    expected_multiplicities,
     index_vector,
     load_basis,
     save_basis,
@@ -57,7 +56,6 @@ __all__ = [
     "ValidationReport",
     "build_eigenbasis",
     "commuting_matrix",
-    "expected_multiplicities",
     "index_vector",
     "load_basis",
     "save_basis",

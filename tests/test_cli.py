@@ -109,20 +109,33 @@ def test_compute_non_finite_sample_is_parse_error(tmp_path, capsys):
     assert not (tmp_path / "x_re.csv").exists()
 
 
+VALIDATE_KEYS = {"orthonormality_residual", "eigen_residual", "symmetry_residual",
+                 "pass"}
+
+
 def test_validate_8_standard(capsys):
     assert run(["validate", "--n", 8, "--variant", "standard"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["multiplicities"] == [3, 2, 2, 1]
+    assert set(report) == VALIDATE_KEYS
     assert report["pass"] is True
 
 
 def test_validate_9_centered(capsys):
     assert run(["validate", "--n", 9, "--variant", "centered"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["multiplicities"] == [3, 2, 2, 2]
-    assert set(report) == {"orthonormality_residual", "eigen_residual",
-                           "symmetry_residual", "multiplicities", "expected",
-                           "pass"}
+    assert set(report) == VALIDATE_KEYS
+    assert report["pass"] is True
+    assert report["eigen_residual"] < 1e-8
+
+
+def test_validate_broken_symmetry_is_validation_failure(capsys, monkeypatch):
+    monkeypatch.setattr("mafrft.eigenbasis.reversal_permutation",
+                        lambda n, v: np.arange(n))
+    assert run(["validate", "--n", 16, "--variant", "centered"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("validate: EigenMismatch: symmetry_residual ")
+    assert err.count("\n") == 1
 
 
 def test_validate_small_n_rejected():

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mafrft import (
+    DegenerateBasis,
     EigenBasis,
+    EigenMismatch,
+    ValidationReport,
     build_eigenbasis,
     commuting_matrix,
     dft_matrix,
-    expected_multiplicities,
     index_vector,
     load_basis,
     reversal_matrix,
@@ -22,8 +24,10 @@ from mafrft import (
     validate_eigenbasis,
 )
 from mafrft import eigenbasis
-from mafrft.eigenbasis import _commutation_residual, _commuting_band, _eigen_residual
-from tests.conftest import cached_basis
+from mafrft.eigenbasis import (
+    _BOUNDS, _commutation_residual, _commuting_band, _eigen_residual,
+)
+from tests.conftest import cached_basis, expected_multiplicities, multiplicities
 
 
 def test_index_vector_standard_even():
@@ -48,7 +52,20 @@ def test_index_vector_standard_odd():
     ],
 )
 def test_expected_multiplicities(n, variant, expected):
+    assert multiplicities(index_vector(n, variant)) == expected
     assert expected_multiplicities(n, variant) == expected
+
+
+@pytest.mark.parametrize("n", [8.5, 8.0])
+def test_index_vector_rejects_non_integer_n(n):
+    with pytest.raises(TypeError):
+        index_vector(n)
+    with pytest.raises(TypeError):
+        build_eigenbasis(n)
+
+
+def test_index_vector_accepts_numpy_integer():
+    assert np.array_equal(index_vector(np.int64(8)), index_vector(8))
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -74,9 +91,9 @@ def test_build_rejects_small_n():
 
 
 def test_multiplicities_n8_standard(basis_of):
-    report = validate_eigenbasis(basis_of(8, "standard"))
-    assert report.multiplicities == (3, 2, 2, 1)
-    assert report.passed
+    b = basis_of(8, "standard")
+    assert multiplicities(b.exponents) == (3, 2, 2, 1)
+    assert validate_eigenbasis(b).passed
 
 
 def test_column_symmetry_standard_even(basis_of):
@@ -115,11 +132,15 @@ def test_reversal_eigenrelation(n, variant, basis_of):
 
 
 def test_validate_12_centered(basis_of):
-    assert validate_eigenbasis(basis_of(12, "centered")).multiplicities == (3, 3, 3, 3)
+    b = basis_of(12, "centered")
+    assert multiplicities(b.exponents) == (3, 3, 3, 3)
+    assert validate_eigenbasis(b).passed
 
 
 def test_validate_10_standard(basis_of):
-    assert validate_eigenbasis(basis_of(10, "standard")).multiplicities == (3, 2, 3, 2)
+    b = basis_of(10, "standard")
+    assert multiplicities(b.exponents) == (3, 2, 3, 2)
+    assert validate_eigenbasis(b).passed
 
 
 @pytest.mark.parametrize("n", [8, 9, 10, 11])
@@ -131,8 +152,10 @@ def test_orthonormality_residual(n, basis_of):
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_table_multiplicities_4_to_64(variant):
     for n in range(4, 65):
-        report = validate_eigenbasis(cached_basis(n, variant))
-        assert report.multiplicities == report.multiplicities_expected, (n, variant)
+        b = cached_basis(n, variant)
+        assert validate_eigenbasis(b).passed, (n, variant)
+        counts = multiplicities(b.exponents)
+        assert counts == expected_multiplicities(n, variant), (n, variant)
 
 
 def test_cache_round_trip(tmp_path, basis_of):
@@ -370,6 +393,45 @@ def test_validate_rejects_perturbed_entry(variant):
     assert not report.passed
 
 
+def test_build_raises_for_a_broken_symmetry(monkeypatch):
+    # With reversal taken as the identity, every odd column misses its
+    # symmetry while orthonormality and the DFT eigen residual still hold.
+    monkeypatch.setattr(eigenbasis, "reversal_permutation", lambda n, v: np.arange(n))
+    message = "^symmetry_residual .* for n=16, variant=centered$"
+    with pytest.raises(EigenMismatch, match=message):
+        build_eigenbasis(16, "centered")
+
+
+@pytest.mark.parametrize("value", ["over", "at", "nan"])
+@pytest.mark.parametrize("row", range(len(_BOUNDS)))
+def test_acceptance_rule_rejects_each_residual(row, value):
+    name, bound, error = _BOUNDS[row]
+    values = dict.fromkeys([field for field, _, _ in _BOUNDS], 0.0)
+    values[name] = {"over": np.nextafter(bound, 1.0), "at": bound, "nan": np.nan}[value]
+    report = ValidationReport(**values)
+    assert not report.passed
+    with pytest.raises(error, match=f"^{name} .* for basis$"):
+        report.require("basis")
+
+
+def test_acceptance_rule_passes_zero_residuals():
+    report = ValidationReport(0.0, 0.0, 0.0)
+    assert report.passed
+    report.require("basis")
+    assert _BOUNDS == (
+        ("orthonormality_residual", 1e-10, DegenerateBasis),
+        ("eigen_residual", 1e-8, EigenMismatch),
+        ("symmetry_residual", 1e-8, EigenMismatch),
+    )
+
+
+def test_multiplicity_table_matches_index_vector():
+    for variant in ("standard", "centered"):
+        for n in range(1, 2000):
+            counts = multiplicities(index_vector(n, variant))
+            assert counts == expected_multiplicities(n, variant), (n, variant)
+
+
 def _reference_build(n, variant):
     """Basis built as the dense formulation does: per-class basis matrices B
     from a loop, ``eigh(B.T @ S @ B)``, and a per-column sign loop."""
@@ -426,7 +488,7 @@ def test_large_build_validates(n, variant):
     b = build_eigenbasis(n, variant)
     report = validate_eigenbasis(b)
     assert report.passed, report
-    assert report.multiplicities == expected_multiplicities(n, variant)
+    assert multiplicities(b.exponents) == expected_multiplicities(n, variant)
     _assert_sign_rule(b.vectors)
 
 
