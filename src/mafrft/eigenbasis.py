@@ -223,6 +223,7 @@ def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Real symmetric matrix commuting with the DFT of the given variant:
     the checked band of :func:`_commuting_band`, densified (tridiagonal plus
     wraparound corners)."""
+    n = operator.index(n)
     diag, off = _commuting_band(n, variant)
     k = np.arange(n)
     S = np.diag(diag)

@@ -6,11 +6,14 @@ Two DFT conventions are supported throughout the library:
 * ``"centered"``: indices shifted by ``(N-1)/2`` in both rows and columns,
   so the transform probes frequencies symmetric about zero.
 
-Row FFTs run on ``numpy.fft`` (pocketfft, any length in O(N log N)). The
-wrapper counts one FFT invocation per row at the call boundary, so the
-paper's FFT-count claims stay exact however numpy batches the rows, and the
-tests check it against the DFT matrix product.
+Row FFTs run on ``numpy.fft`` (pocketfft, any length in O(N log N)). Each
+counts one FFT invocation per row at its call boundary, so the paper's
+FFT-count claims stay exact however numpy batches the rows: here in
+:func:`fft_rows_unnormalized`, and in the multiangle paths, which transform
+row blocks themselves, once per call on the calling thread.
 """
+
+import operator
 
 import numpy as np
 
@@ -43,6 +46,7 @@ def dft_matrix(n: int, variant: str = "standard") -> np.ndarray:
     Standard entries are ``w**(n*k) / sqrt(N)`` with ``w = exp(-2j*pi/N)``;
     the centered convention shifts both indices by ``(N-1)/2``.
     """
+    n = operator.index(n)
     check_variant(variant)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -56,6 +60,7 @@ def reversal_permutation(n: int, variant: str = "standard") -> np.ndarray:
     Centered: ``k -> N-1-k`` (flip about the middle). Standard: ``0 -> 0``
     and ``k -> N-k`` (flip about index 0, wrapping modulo N).
     """
+    n = operator.index(n)
     check_variant(variant)
     if variant == "centered":
         return (n - 1) - np.arange(n)
@@ -68,6 +73,7 @@ def mirror_layout(n: int, variant: str = "standard") -> tuple:
     the mirrors ``N-1`` down to ``N-c`` (``c = N - r``) and the other
     ``r - c`` are fixed points. ``r = N//2 + 1`` and ``lo = 1`` for the
     standard variant, ``r = (N+1)//2`` and ``lo = 0`` for centered."""
+    n = operator.index(n)
     standard = check_variant(variant) == "standard"
     r = n // 2 + 1 if standard else (n + 1) // 2
     return r, n - r, int(standard)
@@ -87,9 +93,12 @@ def fft_rows_unnormalized(
     """Unnormalized forward DFT of each row of ``z``.
 
     Row ``m`` of the result is ``sum_k z[m,k] * exp(-2j*pi*r*k/N)``. Counts
-    one FFT invocation per row. A 1-D ``z`` is one row. ``out``, a complex
-    array of the result's shape (a view is fine), receives the rows in
-    place of a new array.
+    one FFT invocation per row, at this call. A 1-D ``z`` is one row.
+    ``out``, a complex array of the result's shape (a view is fine),
+    receives the rows in place of a new array. The multiangle paths do not
+    call it: they run the same ``numpy.fft`` call on row blocks and count
+    the same way at their own call boundary, so a staged ``z_matrix`` plus
+    this gives their rows bit for bit.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     counters.fft_calls += z.shape[0]

@@ -27,12 +27,29 @@ def _check_signal(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     return x
 
 
+# Multiply-adds per real product: OpenBLAS runs a GEMM of at most this size
+# on the thread that calls it, and larger ones on its own threads, which then
+# spin after the call and hold the other cores.
+_GEMM_BLOCK = 2**18
+
+
 def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``A @ z`` for a real matrix and a complex vector, as one real product
+    """``A @ z`` for a real matrix and a complex vector, as a real product
     with the real and imaginary parts of ``z`` side by side: numpy would
-    otherwise cast all of ``A`` to complex on every call."""
-    z = np.ascontiguousarray(z, dtype=complex)
-    return (A @ z.view(float).reshape(-1, 2)).view(complex).reshape(-1)
+    otherwise cast all of ``A`` to complex on every call.
+
+    Up to ``_GEMM_BLOCK`` multiply-adds this is one product; above, it runs
+    in row blocks of at most that size on the calling thread, written into
+    one result. ``np.matmul`` holds the interpreter lock for each block, so
+    splitting the blocks over threads would only make them take turns."""
+    z = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    step = max(1, _GEMM_BLOCK // (2 * A.shape[1] or 1))
+    if A.shape[0] <= step:
+        return (A @ z).view(complex).reshape(-1)
+    out = np.empty((A.shape[0], 2))
+    for i in range(0, A.shape[0], step):
+        np.matmul(A[i:i + step], z, out=out[i:i + step])
+    return out.view(complex).reshape(-1)
 
 
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:

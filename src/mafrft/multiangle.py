@@ -14,9 +14,20 @@ a prefix whose mirrors are a reversed suffix; the change of basis folds the
 signal on the same layout and runs in real arithmetic. Odd N has an odd
 order grid, which breaks the pairing; appending a zero column to Z (an
 oversampled DFT, R = N+1) restores it at a slightly different order grid.
+
+Both paths run one row routine: Z is formed in the rows of X block by block,
+and each block is corrected, transformed and (for the half path) mirrored
+while it is in cache. Each row depends only on its own row of V, so the
+rows are split into ranges of at least 2**18 elements of Z, at most one per
+CPU the process may run on, and run on a pool of threads; the rows come out
+bit for bit as on one thread.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -24,7 +35,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import fft_rows_unnormalized, mirror_layout
+from .foundation import mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -33,7 +44,8 @@ class MultiangleResult:
     """N x R transform matrix plus its order grid.
 
     Row n is the sample index, column r holds the order-``orders[r]``
-    transform of the input; ``orders[r] = 4r/R``.
+    transform of the input; ``orders[r] = 4r/R``. ``orders`` is read-only
+    and shared by every result with the same R.
     """
 
     X: np.ndarray
@@ -115,32 +127,132 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     return ZMatrix(Z=Z, Zhat=Zhat)
 
 
-def _transform_rows(
-    basis: EigenBasis, x: np.ndarray, rows: int, pad: bool
-) -> np.ndarray:
-    """The N x R result with rows ``0..rows-1`` set to the row FFTs of Z,
-    with the correction and a zero column if ``pad``, formed and transformed
-    in place. The other rows are left unset. ``x`` must already be checked."""
-    n = basis.n
+# Elements of Z per block: a block stays in cache from its product through
+# its FFT and mirror copy.
+_BLOCK = 2**15
+# The least elements of Z in one row range: a call with fewer than two
+# ranges' worth runs on its own thread.
+_SPLIT = 2**18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_THREADS = _usable_cpus()  # the most threads one call runs on
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The pool of helper threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mafrft")
+        return _pool
+
+
+def _drop_executor() -> None:
+    # a forked child copies the pool but none of its threads, so a submit
+    # there would wait forever: the child makes its own pool when it needs one
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _split_rows(work, rows: int, cost: int) -> None:
+    """Run ``work(a, b)`` over the rows ``0..rows-1`` of cost ``cost`` each,
+    in ranges of at least ``_SPLIT``, on this thread and up to
+    ``_THREADS - 1`` pool threads. With one range it is one call on this
+    thread. Each thread takes the next range until none is left, so a thread
+    the host holds back delays the call by one range at most. ``work``
+    writes only its own rows and never submits to the pool, so a range never
+    waits for another."""
+    parts = rows * cost // _SPLIT
+    helpers = min(_THREADS, parts) - 1
+    if helpers < 1:
+        work(0, rows)
+        return
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    ranges = iter(list(zip(bounds, bounds[1:])))  # each next() is atomic
+
+    def drain():
+        for a, b in ranges:
+            work(a, b)
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # also for a helper that found no range left: cancelled, its queued
+        # task would keep ``work``, and with it the result, alive until a
+        # pool thread picked it up
+        for f in futures:
+            f.result()
+
+
+def _transform_rows(basis: EigenBasis, x: np.ndarray, half: bool) -> np.ndarray:
+    """The N x R result: the row FFTs of Z, corrected if needed. Without
+    ``half`` every row is transformed. With ``half`` only the representative
+    rows are, with a zero column appended for odd N, and each mirror row is
+    its source row circularly shifted by R/2.
+
+    Blocks of about ``_BLOCK`` elements are formed in the rows of X,
+    corrected, transformed and mirrored one after the other, and the
+    transformed rows are split over threads by :func:`_split_rows`. One FFT
+    per transformed row is counted here, on the calling thread, as ``+=``
+    from several threads could lose counts. ``x`` must already be checked.
+    """
+    n, V = basis.n, basis.vectors
+    rows, c, lo = mirror_layout(n, basis.variant) if half else (n, 0, 0)
+    pad = half and n % 2 == 1
     y = _change_of_basis_fast(basis, x)
-    X = np.empty((n, n + pad), dtype=complex)
-    Z = X[:rows]
-    np.multiply(basis.vectors[:rows], y, out=Z[:, :n])
-    if pad:
-        Z[:, n] = 0.0
-    if _folds(basis):
-        _fold(Z, n)
-    fft_rows_unnormalized(Z, out=Z)
+    R = n + pad
+    X = np.empty((n, R), dtype=complex)
+    folds, h, step = _folds(basis), R // 2, max(1, _BLOCK // R)
+
+    def work(a, b):
+        for i in range(a, b, step):
+            j = min(i + step, b)
+            Z = X[i:j]
+            np.multiply(V[i:j], y, out=Z[:, :n])
+            if pad:
+                Z[:, n] = 0.0
+            if folds:
+                _fold(Z, n)
+            np.fft.fft(Z, axis=1, out=Z)
+            s, t = max(i, lo), min(j, lo + c)  # sources here; row lo+k -> N-1-k
+            if s < t:
+                mirrors, sources = X[n + lo - t:n + lo - s][::-1], X[s:t]
+                mirrors[:, :h] = sources[:, h:]
+                mirrors[:, h:] = sources[:, :h]
+
+    _split_rows(work, rows, R)
+    counters.fft_calls += rows
     return X
+
+
+@lru_cache(maxsize=128)
+def _orders(R: int) -> np.ndarray:
+    """The order grid ``4r/R``, read-only, made once per R."""
+    orders = 4 * np.arange(R) / R
+    orders.flags.writeable = False
+    return orders
 
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
     x = _check_signal(basis, x)
-    n = basis.n
-    X = _transform_rows(basis, x, n, pad=False)
+    X = _transform_rows(basis, x, half=False)
     return MultiangleResult(
-        X=X, orders=4 * np.arange(n) / n, variant=basis.variant, path="full"
+        X=X, orders=_orders(basis.n), variant=basis.variant, path="full"
     )
 
 
@@ -151,8 +263,9 @@ def ma_frft_half(
 
     Only the representative rows of :func:`~mafrft.foundation.mirror_layout`
     are transformed; each mirror row is a circular shift by R/2 of its
-    representative. Requires an even order grid: for odd N ``pad_odd`` must
-    be set, which appends a zero column to Z and evaluates R = N+1 orders
+    representative, copied while the representative's block is still in
+    cache. Requires an even order grid: for odd N ``pad_odd`` must be set,
+    which appends a zero column to Z and evaluates R = N+1 orders
     ``4r/(N+1)``.
     """
     x = _check_signal(basis, x)
@@ -161,14 +274,9 @@ def ma_frft_half(
         raise OddWithoutPad(
             "odd length needs pad_odd: the order grid only mirrors for even R"
         )
-    r, c, lo = mirror_layout(n, basis.variant)
-    X = _transform_rows(basis, x, r, pad=n % 2 == 1)
-    R = X.shape[1]
-    mirrors, sources = X[n - c:][::-1], X[lo:lo + c]
-    mirrors[:, :R // 2] = sources[:, R // 2:]  # circular shift by R/2
-    mirrors[:, R // 2:] = sources[:, :R // 2]
+    X = _transform_rows(basis, x, half=True)
     return MultiangleResult(
-        X=X, orders=4 * np.arange(R) / R, variant=basis.variant, path="half"
+        X=X, orders=_orders(X.shape[1]), variant=basis.variant, path="half"
     )
 
 
@@ -179,7 +287,7 @@ def ma_frft_naive(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     cols = [frft_apply(basis, 4 * r / n, x) for r in range(n)]
     return MultiangleResult(
         X=np.stack(cols, axis=1),
-        orders=4 * np.arange(n) / n,
+        orders=_orders(n),
         variant=basis.variant,
         path="naive",
     )

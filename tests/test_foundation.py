@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from mafrft import (
+    commuting_matrix,
     counters,
     dft_matrix,
     fft_unnormalized,
     ifft_unnormalized,
     reversal_matrix,
+    reversal_permutation,
 )
-from mafrft.foundation import fft_rows_unnormalized
+from mafrft.foundation import fft_rows_unnormalized, mirror_layout
 
 
 def test_dft_matrix_n1():
@@ -59,6 +61,16 @@ def test_reversal_matrix_standard_n4():
 def test_reversal_is_involution(n, variant):
     P = reversal_matrix(n, variant)
     assert np.array_equal(P @ P, np.eye(n))
+
+
+@pytest.mark.parametrize(
+    "fn", [dft_matrix, reversal_permutation, mirror_layout, commuting_matrix]
+)
+def test_non_integer_n_raises(fn):
+    for n in (8.5, 8.0):
+        with pytest.raises(TypeError):
+            fn(n)
+    assert np.array_equal(fn(np.int64(8)), fn(8))
 
 
 def test_fft_constant():

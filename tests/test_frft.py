@@ -9,7 +9,7 @@ from mafrft import (
     frft_matrix,
     reversal_matrix,
 )
-from mafrft.frft import _real_matvec
+from mafrft.frft import _GEMM_BLOCK, _real_matvec
 from tests.conftest import random_signal
 
 VARIANTS = ["standard", "centered"]
@@ -113,6 +113,15 @@ def test_real_matvec_matches_complex_product():
         assert np.abs(y - A.astype(complex) @ v).max() < 1e-13
     y = _real_matvec(A.T, z[:7])
     assert np.abs(y - A.T.astype(complex) @ z[:7]).max() < 1e-13
+    # above the block size: row blocks, with entries of size 1/sqrt(columns)
+    # like those of an orthonormal V
+    A = rng.standard_normal((300, 500)) / np.sqrt(500)
+    z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+    for M, v in ((A, z[:500]), (A, z[::2]), (A.T, z[:300])):
+        assert 2 * M.size > _GEMM_BLOCK  # more than one block
+        y = _real_matvec(M, v)
+        assert y.dtype == complex and y.shape == (M.shape[0],)
+        assert np.abs(y - M.astype(complex) @ v).max() < 1e-13
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

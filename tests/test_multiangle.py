@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +31,8 @@ from mafrft import (
     save_basis,
     z_matrix,
 )
+import mafrft
+from mafrft import multiangle
 from mafrft.foundation import fft_rows_unnormalized, mirror_layout
 from mafrft.multiangle import MultiangleResult
 from tests.conftest import cached_basis, random_signal
@@ -404,3 +412,152 @@ def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     r, _, _ = mirror_layout(n, variant)
     half = ma_frft_half(b, x, pad_odd=n % 2 == 1)
     assert np.array_equal(half.X[:r], fft_rows_unnormalized(Zin[:r]))
+
+
+def test_order_grid_is_shared_and_read_only(basis_of):
+    b, x = basis_of(8, "standard"), random_signal(8)
+    results = ma_frft_full(b, x), ma_frft_half(b, x), ma_frft_naive(b, x)
+    assert results[0].orders is results[1].orders is results[2].orders
+    assert not results[0].orders.flags.writeable
+    assert np.array_equal(results[0].orders, 4 * np.arange(8) / 8)
+
+
+# --- rows split over threads -------------------------------------------------
+
+# Both paths split at these sizes: Z has about 1M elements in full and 525K
+# in half, at least two ranges of 2**18.
+SPLIT_SIZES = [1024, 1025]
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Two threads or more, however many CPUs the host allows, and a record
+    of every task handed to the pool."""
+    monkeypatch.setattr(multiangle, "_THREADS", max(2, multiangle._THREADS))
+    tasks, executor = [], multiangle._executor
+
+    class Recorder:
+        def submit(self, fn, *args):
+            tasks.append(fn)
+            return executor().submit(fn, *args)
+
+    monkeypatch.setattr(multiangle, "_executor", Recorder)
+    return tasks
+
+
+def _staged(b, x, half):
+    """z_matrix, then fft_rows_unnormalized, then for half the mirror copy."""
+    n = b.n
+    zm = z_matrix(b, x)
+    Z = zm.Zhat if zm.Zhat is not None else zm.Z
+    if not half:
+        return fft_rows_unnormalized(Z)
+    if n % 2:
+        Z = np.hstack([Z, np.zeros((n, 1), dtype=complex)])
+    r, c, lo = mirror_layout(n, b.variant)
+    X = np.empty(Z.shape, dtype=complex)
+    X[:r] = fft_rows_unnormalized(Z[:r])
+    X[n - c:][::-1] = np.roll(X[lo:lo + c], Z.shape[1] // 2, axis=1)
+    return X
+
+
+def _call(b, x, half):
+    if half:
+        return ma_frft_half(b, x, pad_odd=b.n % 2 == 1).X
+    return ma_frft_full(b, x).X
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_split_paths_equal_staged_with_exact_counts(n, variant, basis_of, submitted):
+    b, x = basis_of(n, variant), random_signal(n, seed=n)
+    r, _, _ = mirror_layout(n, variant)
+    f = 1 if n % 2 else (2 if variant == "standard" else 0)  # fixed points
+    e, o = (n + f) // 2, (n - f) // 2
+    for half in (False, True):
+        submitted.clear()
+        counters.reset()
+        X = _call(b, x, half)
+        assert counters.fft_calls == (r if half else n)
+        assert counters.multiplies == e * e + o * o + f
+        assert submitted, "the rows were not split"
+        assert np.array_equal(X, _staged(b, x, half))
+
+
+@pytest.mark.parametrize("n", SPLIT_SIZES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_split_off_gives_identical_rows(n, variant, basis_of, submitted, monkeypatch):
+    b, x = basis_of(n, variant), random_signal(n, seed=n + 2)
+    split = [_call(b, x, half) for half in (False, True)]
+    tasks = len(submitted)
+    assert tasks >= 2
+    monkeypatch.setattr(multiangle, "_THREADS", 1)
+    for half, X in zip((False, True), split):
+        assert np.array_equal(_call(b, x, half), X)
+    assert len(submitted) == tasks
+
+
+def test_concurrent_callers_get_serial_results(basis_of, submitted):
+    # more calling threads than cores, all sharing the bases and the pool
+    bases = [basis_of(1024, "standard"), basis_of(1025, "centered")]
+    signals = [random_signal(b.n, seed=7 + k) for k, b in enumerate(bases)]
+    want = [[_call(b, x, half) for half in (False, True)]
+            for b, x in zip(bases, signals)]
+    mismatches, errors = [], []
+
+    def caller(k):
+        try:
+            for i in range(4):
+                j = (i + k) % 2
+                for half in (False, True):
+                    if not np.array_equal(_call(bases[j], signals[j], half),
+                                          want[j][half]):
+                        mismatches.append((k, j, half))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not mismatches
+    assert len(submitted) >= 4 * 4 * 2
+
+
+def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
+    # the child gets a copy of the parent's pool without its threads
+    save_basis(basis_of(1024, "standard"), tmp_path / "basis.bin")
+    script = textwrap.dedent(f"""
+        import multiprocessing, warnings
+        import numpy as np
+        from mafrft import load_basis, ma_frft_full, multiangle
+
+        multiangle._THREADS = max(2, multiangle._THREADS)
+        b = load_basis({str(tmp_path / "basis.bin")!r})
+        x = np.arange(b.n) + 1j
+        want = ma_frft_full(b, x).X
+        assert multiangle._pool is not None
+
+        def child():
+            assert np.array_equal(ma_frft_full(b, x).X, want)
+            assert multiangle._pool is not None
+
+        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
+        p = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+        p.start()
+        p.join(60)
+        assert p.exitcode == 0, p.exitcode
+    """)
+    src = os.path.dirname(os.path.dirname(mafrft.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
