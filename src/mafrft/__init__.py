@@ -29,13 +29,7 @@ from .exceptions import (
     OddWithoutPad,
     ZeroSignal,
 )
-from .foundation import (
-    dft_matrix,
-    fft_unnormalized,
-    ifft_unnormalized,
-    reversal_matrix,
-    reversal_permutation,
-)
+from .foundation import dft_matrix, reversal_permutation
 from .frft import frft_apply, frft_matrix
 from .multiangle import (
     MultiangleResult,
@@ -68,9 +62,6 @@ __all__ = [
     "OddWithoutPad",
     "ZeroSignal",
     "dft_matrix",
-    "fft_unnormalized",
-    "ifft_unnormalized",
-    "reversal_matrix",
     "reversal_permutation",
     "frft_apply",
     "frft_matrix",

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import _twiddles, check_variant, mirror_layout, reversal_permutation
+from .foundation import _block, _twiddles, check_size, check_variant
+from .foundation import mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
 _VARIANT_CODE = {"standard": 0, "centered": 1}
@@ -127,10 +128,8 @@ def index_vector(n: int, variant: str = "standard") -> np.ndarray:
     Centered, and standard with odd N: ``0..N-1``. Standard with even N:
     ``0, 1, ..., N-2, N`` (the exponent N-1 never occurs).
     """
-    n = operator.index(n)
+    n = check_size(n)
     check_variant(variant)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if variant == "standard" and n % 2 == 0:
         return np.concatenate([np.arange(n - 1), [n]])
     return np.arange(n)
@@ -159,15 +158,6 @@ def _commuting_band(n: int, variant: str):
             f"commutation residual {residual:g} for n={n}, variant={variant}"
         )
     return diag, off
-
-
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _block(n: int) -> int:
-    """Rows or columns per block: a complex block stays near 512 KB, so the
-    elementwise passes over it run in cache."""
-    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def _commutation_residual(diag, off, variant: str) -> float:

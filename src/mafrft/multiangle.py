@@ -35,7 +35,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import mirror_layout
+from .foundation import _block, mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -74,15 +74,13 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     with the matching eigenvector columns, so each half-size product only
     runs over one representative of every mirrored index pair. Uses about
     half the multiplies of :func:`change_of_basis`.
+
+    Runs on slices of V: the even class (r columns) is ``V[:r, 0:m:2]`` and
+    the odd class (c columns) ``V[lo:lo+c, 1:m:2]``, with ``m = N``; for the
+    standard variant with even N, ``m = N-1`` and column N-1 (exponent N) is
+    one more dot product with the even part.
     """
-    return _change_of_basis_fast(basis, _check_signal(basis, x))
-
-
-def _change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    """Runs on slices of V: the even class (r columns) is ``V[:r, 0:m:2]``
-    and the odd class (c columns) ``V[lo:lo+c, 1:m:2]``, with ``m = N``; for
-    the standard variant with even N, ``m = N-1`` and column N-1 (exponent
-    N) is one more dot product with the even part."""
+    x = _check_signal(basis, x)
     n, V = basis.n, basis.vectors
     r, c, lo = mirror_layout(n, basis.variant)
     m = n - _folds(basis)
@@ -118,8 +116,7 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     (column N-1 folded into column 0 and zeroed), whose row FFTs give the
     multiangle result directly.
     """
-    x = _check_signal(basis, x)
-    Z = basis.vectors * _change_of_basis_fast(basis, x)[None, :]
+    Z = basis.vectors * change_of_basis_fast(basis, x)[None, :]
     Zhat = None
     if _folds(basis):
         Zhat = Z.copy()
@@ -127,9 +124,6 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     return ZMatrix(Z=Z, Zhat=Zhat)
 
 
-# Elements of Z per block: a block stays in cache from its product through
-# its FFT and mirror copy.
-_BLOCK = 2**15
 # The least elements of Z in one row range: a call with fewer than two
 # ranges' worth runs on its own thread.
 _SPLIT = 2**18
@@ -198,25 +192,25 @@ def _split_rows(work, rows: int, cost: int) -> None:
             f.result()
 
 
-def _transform_rows(basis: EigenBasis, x: np.ndarray, half: bool) -> np.ndarray:
-    """The N x R result: the row FFTs of Z, corrected if needed. Without
+def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:
+    """The N x R result: the row FFTs of Z = V * y, corrected if needed,
+    for the coefficients ``y`` of :func:`change_of_basis_fast`. Without
     ``half`` every row is transformed. With ``half`` only the representative
     rows are, with a zero column appended for odd N, and each mirror row is
     its source row circularly shifted by R/2.
 
-    Blocks of about ``_BLOCK`` elements are formed in the rows of X,
-    corrected, transformed and mirrored one after the other, and the
-    transformed rows are split over threads by :func:`_split_rows`. One FFT
-    per transformed row is counted here, on the calling thread, as ``+=``
-    from several threads could lose counts. ``x`` must already be checked.
+    Blocks of about 2**15 elements (:func:`~mafrft.foundation._block`) are
+    formed in the rows of X, corrected, transformed and mirrored one after
+    the other, and the transformed rows are split over threads by
+    :func:`_split_rows`. One FFT per transformed row is counted here, on the
+    calling thread, as ``+=`` from several threads could lose counts.
     """
     n, V = basis.n, basis.vectors
     rows, c, lo = mirror_layout(n, basis.variant) if half else (n, 0, 0)
     pad = half and n % 2 == 1
-    y = _change_of_basis_fast(basis, x)
     R = n + pad
     X = np.empty((n, R), dtype=complex)
-    folds, h, step = _folds(basis), R // 2, max(1, _BLOCK // R)
+    folds, h, step = _folds(basis), R // 2, _block(R)
 
     def work(a, b):
         for i in range(a, b, step):
@@ -249,8 +243,7 @@ def _orders(R: int) -> np.ndarray:
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
-    x = _check_signal(basis, x)
-    X = _transform_rows(basis, x, half=False)
+    X = _transform_rows(basis, change_of_basis_fast(basis, x), half=False)
     return MultiangleResult(
         X=X, orders=_orders(basis.n), variant=basis.variant, path="full"
     )
@@ -268,13 +261,12 @@ def ma_frft_half(
     which appends a zero column to Z and evaluates R = N+1 orders
     ``4r/(N+1)``.
     """
-    x = _check_signal(basis, x)
-    n = basis.n
-    if n % 2 == 1 and not pad_odd:
+    y = change_of_basis_fast(basis, x)  # a bad signal raises before the pad
+    if basis.n % 2 == 1 and not pad_odd:
         raise OddWithoutPad(
             "odd length needs pad_odd: the order grid only mirrors for even R"
         )
-    X = _transform_rows(basis, x, half=True)
+    X = _transform_rows(basis, y, half=True)
     return MultiangleResult(
         X=X, orders=_orders(X.shape[1]), variant=basis.variant, path="half"
     )

@@ -7,7 +7,7 @@ from mafrft import (
     dft_matrix,
     frft_apply,
     frft_matrix,
-    reversal_matrix,
+    reversal_permutation,
 )
 from mafrft.frft import _GEMM_BLOCK, _real_matvec
 from tests.conftest import random_signal
@@ -26,7 +26,7 @@ def test_order_zero_is_identity(variant, basis_of):
 def test_integer_order_anchors(n, variant, basis_of):
     b = basis_of(n, variant)
     W = dft_matrix(n, variant)
-    P = reversal_matrix(n, variant)
+    P = np.eye(n)[reversal_permutation(n, variant)]
     assert np.abs(frft_matrix(b, 1.0) - W).max() < 1e-8
     assert np.abs(frft_matrix(b, 2.0) - P).max() < 1e-8
     assert np.abs(frft_matrix(b, 3.0) - W.conj().T).max() < 1e-8

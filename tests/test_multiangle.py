@@ -21,12 +21,10 @@ from mafrft import (
     counters,
     dft_matrix,
     frft_apply,
-    ifft_unnormalized,
     load_basis,
     ma_frft_full,
     ma_frft_half,
     ma_frft_naive,
-    reversal_matrix,
     reversal_permutation,
     save_basis,
     z_matrix,
@@ -73,9 +71,9 @@ def test_fast_change_of_basis_matches_direct(n, variant, basis_of):
 def test_fast_change_of_basis_symmetric_input(basis_of):
     b = basis_of(8, "centered")
     x = random_signal(8, seed=2)
-    P = reversal_matrix(8, "centered")
-    even = x + P @ x
-    odd = x - P @ x
+    perm = reversal_permutation(8, "centered")
+    even = x + x[perm]
+    odd = x - x[perm]
     assert np.abs(change_of_basis_fast(b, even)[1::2]).max() < 1e-12
     assert np.abs(change_of_basis_fast(b, odd)[0::2]).max() < 1e-12
 
@@ -177,7 +175,7 @@ def test_full_integer_order_columns(variant, basis_of):
     x = random_signal(8, seed=7)
     X = ma_frft_full(b, x).X
     assert np.abs(X[:, 2] - dft_matrix(8, variant) @ x).max() < 1e-8
-    assert np.abs(X[:, 4] - reversal_matrix(8, variant) @ x).max() < 1e-8
+    assert np.abs(X[:, 4] - x[reversal_permutation(8, variant)]).max() < 1e-8
 
 
 def test_naive_integer_order_column(basis_of):
@@ -239,6 +237,37 @@ def test_half_odd_without_pad_raises(basis_of):
         ma_frft_half(basis_of(9, "standard"), random_signal(9))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_half_odd_without_pad_checks_signal_first(variant, basis_of):
+    b = basis_of(9, variant)
+    with pytest.raises(LengthMismatch):
+        ma_frft_half(b, np.zeros(8))
+    x = random_signal(9)
+    x[4] = np.nan
+    with pytest.raises(NonFiniteSignal):
+        ma_frft_half(b, x)
+
+
+def test_each_call_checks_its_signal_once(basis_of, monkeypatch):
+    original, checked = multiangle._check_signal, []
+
+    def check(basis, x):
+        checked.append(x)
+        return original(basis, x)
+
+    monkeypatch.setattr(multiangle, "_check_signal", check)
+    b, x = basis_of(9, "standard"), random_signal(9)
+    for call in (
+        lambda: change_of_basis_fast(b, x),
+        lambda: z_matrix(b, x),
+        lambda: ma_frft_full(b, x),
+        lambda: ma_frft_half(b, x, pad_odd=True),
+    ):
+        checked.clear()
+        call()
+        assert len(checked) == 1
+
+
 def test_length_mismatch(basis_of):
     with pytest.raises(LengthMismatch):
         ma_frft_full(basis_of(8, "standard"), np.zeros(7))
@@ -298,9 +327,9 @@ def test_order_plus_two_is_reversal(variant, basis_of):
     b = basis_of(8, variant)
     x = random_signal(8, seed=13)
     X = ma_frft_full(b, x).X
-    P = reversal_matrix(8, variant)
+    perm = reversal_permutation(8, variant)
     for r in range(8):
-        assert np.abs(X[:, (r + 4) % 8] - P @ X[:, r]).max() < 1e-8
+        assert np.abs(X[:, (r + 4) % 8] - X[perm, r]).max() < 1e-8
 
 
 def test_sign_flip_invariance_of_X(basis_of):
@@ -315,12 +344,12 @@ def test_sign_flip_invariance_of_X(basis_of):
 
 
 def reconstruct_correction(n):
-    """Columns are unnormalized inverse DFTs of the twiddle matrix whose last
-    column is all ones (the exponent n maps to the zero twiddle column)."""
+    """Columns are inverse DFTs of the twiddle matrix whose last column is
+    all ones (the exponent n maps to the zero twiddle column)."""
     w = np.exp(-2j * np.pi / n)
     ell = np.concatenate([np.arange(n - 1), [n]])
     B = w ** np.outer(np.arange(n), ell)
-    return np.stack([ifft_unnormalized(B[:, k]) / n for k in range(n)], axis=1)
+    return np.fft.ifft(B, axis=0)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
