@@ -35,7 +35,7 @@ from .counters import counters
 from .exceptions import (
     CommutationError, DegenerateBasis, EigenMismatch, OddWithoutPad, ZeroSignal,
 )
-from .foundation import VARIANTS
+from .foundation import VARIANTS, check_size
 from .multiangle import ma_frft_full, ma_frft_half, ma_frft_naive
 
 # The one exit-code policy: the first row whose types match the exception a
@@ -64,11 +64,11 @@ def make_signal(
     unit-chirp-rate test input). tone: the rate=0 chirp. delta: unit pulse
     at index 0. noise: amplitude-scaled complex Gaussian. Every kind adds
     noise_std-scaled complex Gaussian noise; identical seeds give identical
-    samples. Raises ValueError for n < 4, a NaN or infinite rate, f0,
-    amplitude or noise_std, or a negative amplitude or noise_std.
+    samples. Raises TypeError for a non-integer n, ValueError for n < 4, a
+    NaN or infinite rate, f0, amplitude or noise_std, or a negative
+    amplitude or noise_std.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
+    n = check_size(n, 4)
     if not np.isfinite([rate, f0, amplitude, noise_std]).all():
         raise ValueError("rate, f0, amplitude and noise_std must be finite")
     if amplitude < 0 or noise_std < 0:
@@ -152,9 +152,9 @@ def _cmd_validate(args) -> None:
 
 
 def _cmd_bench(args) -> None:
-    sizes = [int(s) for s in args.n.split(",")]
-    if min(sizes) < 4 or args.reps < 1:
-        raise ValueError(f"need sizes >= 4 and reps >= 1, got {args.n!r}, {args.reps}")
+    sizes = [check_size(int(s), 4) for s in args.n.split(",")]
+    if args.reps < 1:
+        raise ValueError(f"reps must be >= 1, got {args.reps}")
     rng = np.random.default_rng(0)
     print("n,path,wall_ns_median,fft_count")
     for n in sizes:

@@ -27,7 +27,6 @@ column blocks bound the extra memory to about 512 KB per block on top of
 ``V`` and one N x N temporary.
 """
 
-import operator
 import os
 import struct
 from dataclasses import dataclass, field
@@ -36,13 +35,21 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import _block, _twiddles, check_size, check_variant
+from .foundation import _twiddles, check_size, check_variant
 from .foundation import mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
 _VARIANT_CODE = {"standard": 0, "centered": 1}
 _VARIANT_NAME = {v: k for k, v in _VARIANT_CODE.items()}
 _HEADER_BYTES = len(CACHE_MAGIC) + 5  # magic, int32 n, variant byte
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _block(n: int) -> int:
+    """Rows (or columns) of length ``n`` per block of the residual kernels:
+    a complex block of about 512 KB bounds their working memory to a few
+    such blocks on top of ``V``, whatever N is."""
+    return max(1, _BLOCK_ELEMENTS // n)
 
 
 @dataclass(frozen=True)
@@ -145,9 +152,8 @@ def _commuting_band(n: int, variant: str):
     even N, else +1. Raises :class:`CommutationError` if the commutation
     residual exceeds 1e-8 (an implementation bug, not bad data).
     """
+    n = check_size(n, 4)
     check_variant(variant)
-    if n < 4:
-        raise ValueError("n must be >= 4")
     u, _ = _twiddles(n, variant)
     diag = 2 * np.cos(np.pi * u / n) - 4
     off = np.ones(n)
@@ -213,12 +219,12 @@ def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Real symmetric matrix commuting with the DFT of the given variant:
     the checked band of :func:`_commuting_band`, densified (tridiagonal plus
     wraparound corners)."""
-    n = operator.index(n)
     diag, off = _commuting_band(n, variant)
-    k = np.arange(n)
+    k = np.arange(len(diag))
+    j = (k + 1) % len(k)
     S = np.diag(diag)
-    S[k, (k + 1) % n] = off
-    S[(k + 1) % n, k] = off
+    S[k, j] = off
+    S[j, k] = off
     return S
 
 
@@ -299,8 +305,7 @@ def load_basis(path) -> EigenBasis:
         n, code = struct.unpack_from("<iB", header, len(CACHE_MAGIC))
         if code not in _VARIANT_NAME:
             raise ValueError(f"unknown variant byte {code}")
-        if n < 4:
-            raise ValueError(f"basis size {n} < 4")
+        check_size(n, 4)
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER_BYTES + 8 * n * n + 4 * n
         if size != expected:

@@ -28,21 +28,13 @@ def check_variant(variant: str) -> str:
     return variant
 
 
-def check_size(n: int) -> int:
-    """``n`` as an int (TypeError for a float); ValueError if it is below 1."""
+def check_size(n: int, least: int = 1) -> int:
+    """``n`` as an int (TypeError for a float); ValueError if it is below
+    ``least``: 1 for a matrix or index vector, 4 for an eigenbasis."""
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
     return n
-
-
-_BLOCK_ELEMENTS = 1 << 15
-
-
-def _block(n: int) -> int:
-    """Rows (or columns) of length ``n`` per block: a complex block of about
-    512 KB stays in cache through the elementwise passes and FFTs over it."""
-    return max(1, _BLOCK_ELEMENTS // n)
 
 
 def _twiddles(n: int, variant: str):
@@ -94,19 +86,15 @@ def mirror_layout(n: int, variant: str = "standard") -> tuple:
     return r, n - r, int(standard)
 
 
-def fft_rows_unnormalized(
-    z: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def fft_rows_unnormalized(z: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT of each row of ``z``.
 
     Row ``m`` of the result is ``sum_k z[m,k] * exp(-2j*pi*r*k/N)``. Counts
-    one FFT invocation per row, at this call. A 1-D ``z`` is one row.
-    ``out``, a complex array of the result's shape (a view is fine),
-    receives the rows in place of a new array. The multiangle paths do not
-    call it: they run the same ``numpy.fft`` call on row blocks and count
-    the same way at their own call boundary, so a staged ``z_matrix`` plus
-    this gives their rows bit for bit.
+    one FFT invocation per row, at this call. A 1-D ``z`` is one row. The
+    multiangle paths do not call it: they run the same ``numpy.fft`` call on
+    row ranges and count the same way at their own call boundary, so a
+    staged ``z_matrix`` plus this gives their rows bit for bit.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     counters.fft_calls += z.shape[0]
-    return np.fft.fft(z, axis=1, out=out)
+    return np.fft.fft(z, axis=1)

@@ -15,12 +15,12 @@ signal on the same layout and runs in real arithmetic. Odd N has an odd
 order grid, which breaks the pairing; appending a zero column to Z (an
 oversampled DFT, R = N+1) restores it at a slightly different order grid.
 
-Both paths run one row routine: Z is formed in the rows of X block by block,
-and each block is corrected, transformed and (for the half path) mirrored
-while it is in cache. Each row depends only on its own row of V, so the
-rows are split into ranges of at least 2**18 elements of Z, at most one per
-CPU the process may run on, and run on a pool of threads; the rows come out
-bit for bit as on one thread.
+Both paths run one row routine. Each row depends only on its own row of V,
+so the rows are split into ranges of at least 2**18 elements of Z, at most
+one per CPU the process may run on, and run on a pool of threads; each
+range is formed in the rows of X, corrected, transformed and (for the half
+path) mirrored in one pass, and the rows come out bit for bit as on one
+thread.
 """
 
 import os
@@ -35,7 +35,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import _block, mirror_layout
+from .foundation import mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -199,34 +199,33 @@ def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:
     rows are, with a zero column appended for odd N, and each mirror row is
     its source row circularly shifted by R/2.
 
-    Blocks of about 2**15 elements (:func:`~mafrft.foundation._block`) are
-    formed in the rows of X, corrected, transformed and mirrored one after
-    the other, and the transformed rows are split over threads by
-    :func:`_split_rows`. One FFT per transformed row is counted here, on the
-    calling thread, as ``+=`` from several threads could lose counts.
+    The transformed rows are split over threads by :func:`_split_rows`, and
+    each range is formed in the rows of X, corrected, transformed and
+    mirrored in one pass: unsplit, that is the staged ``z_matrix``, row FFT
+    and mirror copy, done in place. One FFT per transformed row is counted
+    here, on the calling thread, as ``+=`` from several threads could lose
+    counts.
     """
     n, V = basis.n, basis.vectors
     rows, c, lo = mirror_layout(n, basis.variant) if half else (n, 0, 0)
     pad = half and n % 2 == 1
     R = n + pad
     X = np.empty((n, R), dtype=complex)
-    folds, h, step = _folds(basis), R // 2, _block(R)
+    folds, h = _folds(basis), R // 2
 
     def work(a, b):
-        for i in range(a, b, step):
-            j = min(i + step, b)
-            Z = X[i:j]
-            np.multiply(V[i:j], y, out=Z[:, :n])
-            if pad:
-                Z[:, n] = 0.0
-            if folds:
-                _fold(Z, n)
-            np.fft.fft(Z, axis=1, out=Z)
-            s, t = max(i, lo), min(j, lo + c)  # sources here; row lo+k -> N-1-k
-            if s < t:
-                mirrors, sources = X[n + lo - t:n + lo - s][::-1], X[s:t]
-                mirrors[:, :h] = sources[:, h:]
-                mirrors[:, h:] = sources[:, :h]
+        Z = X[a:b]
+        np.multiply(V[a:b], y, out=Z[:, :n])
+        if pad:
+            Z[:, n] = 0.0
+        if folds:
+            _fold(Z, n)
+        np.fft.fft(Z, axis=1, out=Z)
+        s, t = max(a, lo), min(b, lo + c)  # sources here; row lo+k -> N-1-k
+        if s < t:
+            mirrors, sources = X[n + lo - t:n + lo - s][::-1], X[s:t]
+            mirrors[:, :h] = sources[:, h:]
+            mirrors[:, h:] = sources[:, :h]
 
     _split_rows(work, rows, R)
     counters.fft_calls += rows
@@ -256,10 +255,9 @@ def ma_frft_half(
 
     Only the representative rows of :func:`~mafrft.foundation.mirror_layout`
     are transformed; each mirror row is a circular shift by R/2 of its
-    representative, copied while the representative's block is still in
-    cache. Requires an even order grid: for odd N ``pad_odd`` must be set,
-    which appends a zero column to Z and evaluates R = N+1 orders
-    ``4r/(N+1)``.
+    representative, copied in the same pass as the representative's range.
+    Requires an even order grid: for odd N ``pad_odd`` must be set, which
+    appends a zero column to Z and evaluates R = N+1 orders ``4r/(N+1)``.
     """
     y = change_of_basis_fast(basis, x)  # a bad signal raises before the pad
     if basis.n % 2 == 1 and not pad_odd:

@@ -222,6 +222,14 @@ def test_render_chirp_brightest_columns(tmp_path):
     assert bright == {1, 5}
 
 
+def test_make_signal_checks_n():
+    with pytest.raises(TypeError):
+        make_signal(8.5, "chirp")
+    with pytest.raises(ValueError, match="n must be >= 4"):
+        make_signal(3, "chirp")
+    assert len(make_signal(np.int64(4), "chirp")) == 4
+
+
 def test_make_signal_unit_chirp_matches_cli_convention():
     x = make_signal(8, "chirp", rate=1.0, f0=-3.5)
     idx = np.arange(8)

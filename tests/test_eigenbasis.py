@@ -22,7 +22,7 @@ from mafrft import (
     save_basis,
     validate_eigenbasis,
 )
-from mafrft import eigenbasis, foundation
+from mafrft import eigenbasis
 from mafrft.eigenbasis import (
     _BOUNDS, _commutation_residual, _commuting_band, _eigen_residual,
 )
@@ -228,7 +228,7 @@ def test_residual_kernels_match_dense_formulas(n, variant):
 
 def test_residual_kernels_blocked(monkeypatch):
     # Force several row and column blocks, including a ragged last one.
-    monkeypatch.setattr(foundation, "_BLOCK_ELEMENTS", 3 * 37)
+    monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", 3 * 37)
     for variant in ("standard", "centered"):
         S = commuting_matrix(37, variant)
         W = dft_matrix(37, variant)

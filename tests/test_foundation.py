@@ -134,15 +134,3 @@ def test_fft_rows_input_shapes():
     assert many.shape == (4, 6)
     assert counters.fft_calls == 5
     assert np.array_equal(one[0], np.fft.fft(np.arange(5.0)))
-
-
-def test_fft_rows_out_writes_into_view():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
-    X = np.zeros((5, 8), dtype=complex)
-    counters.reset()
-    res = fft_rows_unnormalized(z, out=X[1:4])
-    assert counters.fft_calls == 3
-    assert np.shares_memory(res, X)
-    assert np.array_equal(X[1:4], fft_rows_unnormalized(z))
-    assert not X[0].any() and not X[4].any()

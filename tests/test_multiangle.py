@@ -427,7 +427,7 @@ def test_mirror_pairing_matches_permutation(basis_of):
             assert np.array_equal(res.X, expected)
 
 
-@pytest.mark.parametrize("n", [16, 63, 64, 96])
+@pytest.mark.parametrize("n", [16, 63, 64, 96, 255, 600])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     # bit for bit: the whole call forms the same Z as z_matrix, without a copy
@@ -438,9 +438,11 @@ def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     assert np.array_equal(ma_frft_full(b, x).X, fft_rows_unnormalized(Zin))
     if n % 2:
         Zin = np.hstack([Zin, np.zeros((n, 1), dtype=complex)])
-    r, _, _ = mirror_layout(n, variant)
+    r, c, lo = mirror_layout(n, variant)
+    staged = fft_rows_unnormalized(Zin[:r])
+    mirrored = np.roll(staged[lo:lo + c], Zin.shape[1] // 2, axis=1)[::-1]
     half = ma_frft_half(b, x, pad_odd=n % 2 == 1)
-    assert np.array_equal(half.X[:r], fft_rows_unnormalized(Zin[:r]))
+    assert np.array_equal(half.X, np.vstack([staged, mirrored]))
 
 
 def test_order_grid_is_shared_and_read_only(basis_of):
