@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .counters import counters
 from .eigenbasis import (
     EigenBasis,
-    ValidationReport,
     build_eigenbasis,
     commuting_matrix,
-    index_vector,
     load_basis,
     save_basis,
     validate_eigenbasis,
@@ -30,10 +28,8 @@ from .exceptions import (
     ZeroSignal,
 )
 from .foundation import dft_matrix, reversal_permutation
-from .frft import frft_apply, frft_matrix
+from .frft import frft_apply
 from .multiangle import (
-    MultiangleResult,
-    ZMatrix,
     change_of_basis,
     change_of_basis_fast,
     concentration_profile,
@@ -47,10 +43,8 @@ __all__ = [
     "__version__",
     "counters",
     "EigenBasis",
-    "ValidationReport",
     "build_eigenbasis",
     "commuting_matrix",
-    "index_vector",
     "load_basis",
     "save_basis",
     "validate_eigenbasis",
@@ -64,9 +58,6 @@ __all__ = [
     "dft_matrix",
     "reversal_permutation",
     "frft_apply",
-    "frft_matrix",
-    "MultiangleResult",
-    "ZMatrix",
     "change_of_basis",
     "change_of_basis_fast",
     "concentration_profile",

@@ -52,7 +52,7 @@ def _block(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Reusable eigendecomposition of a DFT matrix.
 
@@ -64,7 +64,8 @@ class EigenBasis:
     Both arrays are read-only. ``vectors`` is kept as given only if it is
     read-only and owns its data; a view or a writable array is copied. So
     the self-check report that :func:`validate_eigenbasis` returns is
-    computed once, on first use, and cannot go stale.
+    computed once, on first use, and cannot go stale. Bases compare and hash
+    by identity, so one can key a dict.
     """
 
     variant: str
@@ -276,13 +277,14 @@ def validate_eigenbasis(basis: EigenBasis) -> ValidationReport:
 
 def save_basis(basis: EigenBasis, path) -> None:
     """Write the binary cache format: magic, n (int32), variant byte, then
-    V as little-endian float64 row-major and exponents as int32."""
+    V as little-endian float64 row-major and exponents as int32. V is
+    written from the array the basis keeps, without a copy."""
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<i", basis.n))
         fh.write(struct.pack("B", _VARIANT_CODE[basis.variant]))
-        fh.write(np.ascontiguousarray(basis.vectors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.exponents, dtype="<i4").tobytes())
+        fh.write(np.ascontiguousarray(basis.vectors, dtype="<f8"))
+        fh.write(np.ascontiguousarray(basis.exponents, dtype="<i4"))
 
 
 def load_basis(path) -> EigenBasis:

@@ -39,22 +39,24 @@ from .foundation import mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiangleResult:
-    """N x R transform matrix plus its order grid.
+    """N x R transform matrix; its order grid is derived from R.
 
     Row n is the sample index, column r holds the order-``orders[r]``
     transform of the input; ``orders[r] = 4r/R``. ``orders`` is read-only
-    and shared by every result with the same R.
+    and shared by every result with the same R. Results compare and hash
+    by identity.
     """
 
     X: np.ndarray
-    orders: np.ndarray
-    variant: str
-    path: str
+
+    @property
+    def orders(self) -> np.ndarray:
+        return _orders(self.X.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZMatrix:
     Z: np.ndarray
     Zhat: Optional[np.ndarray] = None
@@ -242,9 +244,8 @@ def _orders(R: int) -> np.ndarray:
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """All N grid-order transforms via one row FFT per row of Z."""
-    X = _transform_rows(basis, change_of_basis_fast(basis, x), half=False)
     return MultiangleResult(
-        X=X, orders=_orders(basis.n), variant=basis.variant, path="full"
+        _transform_rows(basis, change_of_basis_fast(basis, x), half=False)
     )
 
 
@@ -264,10 +265,7 @@ def ma_frft_half(
         raise OddWithoutPad(
             "odd length needs pad_odd: the order grid only mirrors for even R"
         )
-    X = _transform_rows(basis, y, half=True)
-    return MultiangleResult(
-        X=X, orders=_orders(X.shape[1]), variant=basis.variant, path="half"
-    )
+    return MultiangleResult(_transform_rows(basis, y, half=True))
 
 
 def ma_frft_naive(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
@@ -275,12 +273,7 @@ def ma_frft_naive(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     x = _check_signal(basis, x)
     n = basis.n
     cols = [frft_apply(basis, 4 * r / n, x) for r in range(n)]
-    return MultiangleResult(
-        X=np.stack(cols, axis=1),
-        orders=_orders(n),
-        variant=basis.variant,
-        path="naive",
-    )
+    return MultiangleResult(np.stack(cols, axis=1))
 
 
 def concentration_profile(result: MultiangleResult) -> np.ndarray:

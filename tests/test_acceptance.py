@@ -17,7 +17,6 @@ from mafrft import (
     counters,
     dft_matrix,
     frft_apply,
-    frft_matrix,
     ma_frft_full,
     ma_frft_half,
     ma_frft_naive,
@@ -25,6 +24,7 @@ from mafrft import (
     validate_eigenbasis,
     z_matrix,
 )
+from mafrft.frft import frft_matrix
 from tests.conftest import (
     cached_basis, expected_multiplicities, multiplicities, random_signal,
 )
@@ -210,24 +210,3 @@ def test_criterion_9_fast_change_of_basis():
     report(9, f"fast change of basis, max diff {worst:.3g}, "
               f"multiply ratio {ratio:.1%}",
            worst < 1e-10 and ratio <= 0.55)
-
-
-def test_soft_benchmark_half_vs_full_wall_clock():
-    """Warn-only wall-clock check; never fails the suite."""
-    n = 1024
-    b = cached_basis(n, "standard")
-    x = random_signal(n, seed=1024)
-    def median_time(fn, reps=5):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter_ns()
-            fn()
-            times.append(time.perf_counter_ns() - t0)
-        return sorted(times)[len(times) // 2]
-    t_full = median_time(lambda: ma_frft_full(b, x))
-    t_half = median_time(lambda: ma_frft_half(b, x))
-    if t_half >= t_full:
-        print(f"WARN soft benchmark: half ({t_half} ns) not faster than "
-              f"full ({t_full} ns) at n={n}")
-    else:
-        print(f"PASS soft benchmark: half {t_half} ns < full {t_full} ns at n={n}")

@@ -1,3 +1,7 @@
+import importlib
+
+import pytest
+
 import mafrft
 
 # The public surface: a new export is added here on purpose.
@@ -5,10 +9,8 @@ PUBLIC = [
     "__version__",
     "counters",
     "EigenBasis",
-    "ValidationReport",
     "build_eigenbasis",
     "commuting_matrix",
-    "index_vector",
     "load_basis",
     "save_basis",
     "validate_eigenbasis",
@@ -22,9 +24,6 @@ PUBLIC = [
     "dft_matrix",
     "reversal_permutation",
     "frft_apply",
-    "frft_matrix",
-    "MultiangleResult",
-    "ZMatrix",
     "change_of_basis",
     "change_of_basis_fast",
     "concentration_profile",
@@ -40,3 +39,15 @@ def test_public_names_are_pinned_and_resolve():
     assert len(mafrft.__all__) == len(set(mafrft.__all__))
     for name in PUBLIC:
         assert getattr(mafrft, name) is not None
+
+
+@pytest.mark.parametrize("module, name", [
+    ("eigenbasis", "index_vector"),
+    ("eigenbasis", "ValidationReport"),
+    ("frft", "frft_matrix"),
+    ("multiangle", "MultiangleResult"),
+    ("multiangle", "ZMatrix"),
+])
+def test_unexported_names_import_from_their_module(module, name):
+    assert name not in mafrft.__all__
+    assert getattr(importlib.import_module(f"mafrft.{module}"), name) is not None

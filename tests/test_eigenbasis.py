@@ -12,11 +12,9 @@ from mafrft import (
     DegenerateBasis,
     EigenBasis,
     EigenMismatch,
-    ValidationReport,
     build_eigenbasis,
     commuting_matrix,
     dft_matrix,
-    index_vector,
     load_basis,
     reversal_permutation,
     save_basis,
@@ -24,7 +22,8 @@ from mafrft import (
 )
 from mafrft import eigenbasis
 from mafrft.eigenbasis import (
-    _BOUNDS, _commutation_residual, _commuting_band, _eigen_residual,
+    _BOUNDS, ValidationReport, _commutation_residual, _commuting_band,
+    _eigen_residual, index_vector,
 )
 from tests.conftest import cached_basis, expected_multiplicities, multiplicities
 
@@ -521,6 +520,20 @@ def test_loaded_validate_memory(tmp_path, variant):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_save_memory(tmp_path, variant):
+    # V is written from the array the basis keeps, not from a bytes copy
+    n = 512
+    basis = cached_basis(n, variant)
+    tracemalloc.start()
+    try:
+        save_basis(basis, tmp_path / "basis.bin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])

@@ -6,10 +6,9 @@ from mafrft import (
     LengthMismatch,
     dft_matrix,
     frft_apply,
-    frft_matrix,
     reversal_permutation,
 )
-from mafrft.frft import _GEMM_BLOCK, _real_matvec
+from mafrft.frft import _GEMM_BLOCK, _real_matvec, frft_matrix
 from tests.conftest import random_signal
 
 VARIANTS = ["standard", "centered"]

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from mafrft import (
     NonFiniteSignal,
     OddWithoutPad,
     ZeroSignal,
+    build_eigenbasis,
     change_of_basis,
     change_of_basis_fast,
     concentration_profile,
@@ -387,14 +389,8 @@ def test_profile_unit_rate_chirp(basis_of):
     assert peak == {1, 5}
 
 
-def test_profile_zero_signal_raises(basis_of):
-    b = basis_of(8, "centered")
-    result = MultiangleResult(
-        X=np.zeros((8, 8), dtype=complex),
-        orders=4 * np.arange(8) / 8,
-        variant="centered",
-        path="full",
-    )
+def test_profile_zero_signal_raises():
+    result = MultiangleResult(np.zeros((8, 8), dtype=complex))
     with pytest.raises(ZeroSignal):
         concentration_profile(result)
 
@@ -427,22 +423,31 @@ def test_mirror_pairing_matches_permutation(basis_of):
             assert np.array_equal(res.X, expected)
 
 
+def _staged(b, x, half):
+    """z_matrix, then fft_rows_unnormalized, then for half the mirror copy."""
+    n = b.n
+    zm = z_matrix(b, x)
+    Z = zm.Zhat if zm.Zhat is not None else zm.Z
+    if not half:
+        return fft_rows_unnormalized(Z)
+    if n % 2:
+        Z = np.hstack([Z, np.zeros((n, 1), dtype=complex)])
+    r, c, lo = mirror_layout(n, b.variant)
+    X = np.empty(Z.shape, dtype=complex)
+    X[:r] = fft_rows_unnormalized(Z[:r])
+    X[n - c:][::-1] = np.roll(X[lo:lo + c], Z.shape[1] // 2, axis=1)
+    return X
+
+
 @pytest.mark.parametrize("n", [16, 63, 64, 96, 255, 600])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     # bit for bit: the whole call forms the same Z as z_matrix, without a copy
     b = basis_of(n, variant)
     x = random_signal(n, seed=n + 1)
-    zm = z_matrix(b, x)
-    Zin = zm.Zhat if zm.Zhat is not None else zm.Z
-    assert np.array_equal(ma_frft_full(b, x).X, fft_rows_unnormalized(Zin))
-    if n % 2:
-        Zin = np.hstack([Zin, np.zeros((n, 1), dtype=complex)])
-    r, c, lo = mirror_layout(n, variant)
-    staged = fft_rows_unnormalized(Zin[:r])
-    mirrored = np.roll(staged[lo:lo + c], Zin.shape[1] // 2, axis=1)[::-1]
+    assert np.array_equal(ma_frft_full(b, x).X, _staged(b, x, False))
     half = ma_frft_half(b, x, pad_odd=n % 2 == 1)
-    assert np.array_equal(half.X, np.vstack([staged, mirrored]))
+    assert np.array_equal(half.X, _staged(b, x, True))
 
 
 def test_order_grid_is_shared_and_read_only(basis_of):
@@ -451,6 +456,28 @@ def test_order_grid_is_shared_and_read_only(basis_of):
     assert results[0].orders is results[1].orders is results[2].orders
     assert not results[0].orders.flags.writeable
     assert np.array_equal(results[0].orders, 4 * np.arange(8) / 8)
+
+
+def test_result_is_its_matrix_and_derived_grid(basis_of):
+    # odd N: the padded half path has a grid of N+1 orders, the others N
+    b, x = basis_of(9, "centered"), random_signal(9)
+    for result in ma_frft_full(b, x), ma_frft_half(b, x, pad_odd=True), ma_frft_naive(b, x):
+        assert [f.name for f in dataclasses.fields(result)] == ["X"]
+        assert result.orders is multiangle._orders(result.X.shape[1])
+
+
+def test_basis_and_results_compare_and_hash_by_identity():
+    # equal arrays in two objects do not make them equal, and == never
+    # asks an array for its truth value
+    b, twin_b = build_eigenbasis(8, "standard"), build_eigenbasis(8, "standard")
+    x = random_signal(8)
+    pairs = [(b, twin_b), (ma_frft_full(b, x), ma_frft_full(b, x)),
+             (z_matrix(b, x), z_matrix(b, x))]
+    for obj, twin in pairs:
+        assert obj == obj and not obj != obj
+        assert obj != twin and not obj == twin
+        assert hash(obj) == hash(obj)
+        assert {obj: 1, twin: 2}[obj] == 1
 
 
 # --- rows split over threads -------------------------------------------------
@@ -474,22 +501,6 @@ def submitted(monkeypatch):
 
     monkeypatch.setattr(multiangle, "_executor", Recorder)
     return tasks
-
-
-def _staged(b, x, half):
-    """z_matrix, then fft_rows_unnormalized, then for half the mirror copy."""
-    n = b.n
-    zm = z_matrix(b, x)
-    Z = zm.Zhat if zm.Zhat is not None else zm.Z
-    if not half:
-        return fft_rows_unnormalized(Z)
-    if n % 2:
-        Z = np.hstack([Z, np.zeros((n, 1), dtype=complex)])
-    r, c, lo = mirror_layout(n, b.variant)
-    X = np.empty(Z.shape, dtype=complex)
-    X[:r] = fft_rows_unnormalized(Z[:r])
-    X[n - c:][::-1] = np.roll(X[lo:lo + c], Z.shape[1] // 2, axis=1)
-    return X
 
 
 def _call(b, x, half):
