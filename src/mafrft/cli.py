@@ -1,4 +1,4 @@
-"""Command-line interface: gen, compute, validate, bench, render.
+"""Command-line interface: gen, compute, validate, render.
 
 File formats:
   signal CSV      one sample per line, "re,im", 17 significant digits;
@@ -21,17 +21,14 @@ keeps its traceback.
 """
 
 import argparse
+import dataclasses
 import json
-import statistics
 import sys
-import time
-from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .eigenbasis import build_eigenbasis, validate_eigenbasis
-from .counters import counters
 from .exceptions import (
     CommutationError, DegenerateBasis, EigenMismatch, OddWithoutPad, ZeroSignal,
 )
@@ -118,12 +115,6 @@ def _read_csv(path) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
 
-def _paths(pad_odd: bool) -> dict:
-    """The transform paths by name; ``half`` pads an odd length iff pad_odd."""
-    return {"naive": ma_frft_naive, "full": ma_frft_full,
-            "half": partial(ma_frft_half, pad_odd=pad_odd)}
-
-
 def _cmd_gen(args) -> None:
     x = make_signal(
         args.n, args.kind, args.rate, args.f0, args.amplitude,
@@ -135,7 +126,10 @@ def _cmd_gen(args) -> None:
 def _cmd_compute(args) -> None:
     x = read_signal(args.input)
     basis = build_eigenbasis(len(x), args.variant)
-    result = _paths(args.pad_odd)[args.path](basis, x)
+    if args.path == "half":
+        result = ma_frft_half(basis, x, pad_odd=args.pad_odd)
+    else:
+        result = {"naive": ma_frft_naive, "full": ma_frft_full}[args.path](basis, x)
     for part, M in (("re", result.X.real), ("im", result.X.imag),
                     ("orders", result.orders[None, :])):
         np.savetxt(f"{args.out_prefix}_{part}.csv", M, **_CSV)
@@ -143,39 +137,7 @@ def _cmd_compute(args) -> None:
 
 def _cmd_validate(args) -> None:
     report = validate_eigenbasis(build_eigenbasis(args.n, args.variant))
-    print(json.dumps({
-        "orthonormality_residual": report.orthonormality_residual,
-        "eigen_residual": report.eigen_residual,
-        "symmetry_residual": report.symmetry_residual,
-        "pass": report.passed,
-    }))
-
-
-def _cmd_bench(args) -> None:
-    sizes = [check_size(int(s), 4) for s in args.n.split(",")]
-    if args.reps < 1:
-        raise ValueError(f"reps must be >= 1, got {args.reps}")
-    rng = np.random.default_rng(0)
-    print("n,path,wall_ns_median,fft_count")
-    for n in sizes:
-        basis = build_eigenbasis(n, args.variant)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        medians = {}
-        for path, fn in _paths(n % 2 == 1).items():
-            times = []
-            for _ in range(args.reps):
-                counters.reset()
-                t0 = time.perf_counter_ns()
-                fn(basis, x)
-                times.append(time.perf_counter_ns() - t0)
-            fft_count = 0 if path == "naive" else counters.fft_calls
-            medians[path] = int(statistics.median(times))
-            print(f"{n},{path},{medians[path]},{fft_count}")
-        if medians["half"] >= medians["full"]:
-            print(
-                f"bench: warning: half path not faster than full at n={n}",
-                file=sys.stderr,
-            )
+    print(json.dumps({**dataclasses.asdict(report), "pass": report.passed}))
 
 
 def _cmd_render(args) -> None:
@@ -229,14 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--n", type=int, required=True)
     val.add_argument("--variant", choices=VARIANTS, default="standard")
     val.set_defaults(func=_cmd_validate)
-
-    bench = sub.add_parser("bench", help="time the transform paths")
-    bench.add_argument("--n", required=True,
-                       help="comma-separated sizes, each >= 4 (odd sizes "
-                       "run the padded half path)")
-    bench.add_argument("--variant", choices=VARIANTS, default="standard")
-    bench.add_argument("--reps", type=int, default=5)
-    bench.set_defaults(func=_cmd_bench)
 
     render = sub.add_parser("render", help="render magnitudes to a PGM image")
     render.add_argument("--in-prefix", dest="in_prefix", required=True)

@@ -296,6 +296,11 @@ def load_basis(path) -> EigenBasis:
     raises it for a NaN or infinite entry of V. The header is checked against
     the file length before V is allocated, and V is read straight into the
     array the basis keeps, so loading peaks at about V.
+
+    The loaded basis is not self-checked: a finite but wrong entry of V
+    loads without error and gives wrong transforms.
+    ``validate_eigenbasis(basis).require(path)`` checks it and raises
+    DegenerateBasis or EigenMismatch as the build does.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)

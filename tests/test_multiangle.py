@@ -171,13 +171,52 @@ def test_full_column_zero_is_input(basis_of):
     assert np.abs(ma_frft_full(b, x).X[:, 0] - x).max() < 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_full_integer_order_columns(variant, basis_of):
-    b = basis_of(8, variant)
-    x = random_signal(8, seed=7)
-    X = ma_frft_full(b, x).X
-    assert np.abs(X[:, 2] - dft_matrix(8, variant) @ x).max() < 1e-8
-    assert np.abs(X[:, 4] - x[reversal_permutation(8, variant)]).max() < 1e-8
+def test_full_integer_order_columns(variant, q, seed):
+    # On a grid of R = 4q orders, columns 0, R/4, R/2 and 3R/4 are the
+    # orders 0..3: x, W x, the reversal of x and W^H x. W comes from
+    # numpy.fft (standard) or dft_matrix (centered), neither of which reads
+    # the eigenbasis. R = N for `full` and `half` at N = 4q, and R = N+1 for
+    # the padded `half` at N = 4q-1. The worst error measured over N 4..256
+    # (three signals each) was 6.4e-15 * ||x||: the bound leaves about 15x.
+    for n in (4 * q, 4 * q - 1):
+        if n < 4:
+            continue
+        b = cached_basis(n, variant)
+        x = random_signal(n, seed=seed)
+        if variant == "standard":
+            Wx, WHx = np.fft.fft(x, norm="ortho"), np.fft.ifft(x, norm="ortho")
+        else:
+            W = dft_matrix(n, variant)
+            Wx, WHx = W @ x, W.conj().T @ x
+        expected = np.stack((x, Wx, x[reversal_permutation(n, variant)], WHx), axis=1)
+        if n % 2:
+            results = [ma_frft_half(b, x, pad_odd=True)]
+        else:
+            results = [ma_frft_full(b, x), ma_frft_half(b, x)]
+        for X in (result.X for result in results):
+            err = np.abs(X[:, :: X.shape[1] // 4] - expected).max()
+            assert err < 1e-13 * np.linalg.norm(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 127), seed=st.integers(0, 2**32 - 1))
+def test_odd_centered_is_standard_shifted(m, seed):
+    # For odd N = 2m+1 the centered DFT is C W C^-1, with C the circular
+    # shift by m, so each order of the centered transform is the standard
+    # one conjugated by C. This ties two separate eigensolves to each other.
+    # The worst error measured over N 5..255 (three signals each) was
+    # 1.05e-14 * ||x||, for `full` and for padded `half`: the bound leaves
+    # about 9x.
+    n = 2 * m + 1
+    standard, centered = cached_basis(n, "standard"), cached_basis(n, "centered")
+    x = random_signal(n, seed=seed)
+    for path, kw in ((ma_frft_full, {}), (ma_frft_half, {"pad_odd": True})):
+        shifted = np.roll(path(standard, np.roll(x, -m), **kw).X, m, axis=0)
+        err = np.abs(path(centered, x, **kw).X - shifted).max()
+        assert err < 1e-13 * np.linalg.norm(x)
 
 
 def test_naive_integer_order_column(basis_of):
