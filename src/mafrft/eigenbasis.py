@@ -14,17 +14,24 @@ under the reversal operator and sidesteps degenerate eigenvalue pairs of the
 commuting matrix (which only occur across the two symmetry classes).
 
 Cost: the two half-size class blocks are folded from the 3N band entries of
-the commuting matrix by one orbit map, which also unfolds their
-eigenvectors; no dense commuting matrix is formed. The build runs two
-half-size ``eigh`` calls and the ``V.T @ V`` orthonormality check as its
-only O(N^3) steps. The self-checks run once per basis and their report is
-kept: the build raises from it and :func:`validate_eigenbasis` returns it.
-``V.T @ V`` is freed once its maximum is taken, and the symmetry residual
-reads only the representative rows of the reversal orbits. The commutation
-and DFT eigen residuals take O(N^2 log N): the DFT is generated a block of
-rows at a time from a twiddle table, or applied as column FFTs. Row and
-column blocks bound the extra memory to about 512 KB per block on top of
-``V`` and one N x N temporary.
+the commuting matrix by one orbit map; no dense commuting matrix is formed.
+Their eigenvectors are unfolded by slices: rows 0..r-1 of a class's columns
+are the weighted eigenvectors, signed there, and the mirror rows are those
+rows reversed (negated in the odd class). The build runs two half-size
+``eigh`` calls and the ``V.T @ V`` orthonormality check as its only O(N^3)
+steps. The self-checks run once per basis and their report is kept: the
+build raises from it and :func:`validate_eigenbasis` returns it. ``V.T @ V``
+is freed once its maximum is taken, and the symmetry residual reads only the
+representative rows of the reversal orbits. The commutation and DFT eigen
+residuals take O(N^2 log N): the DFT is generated a block of rows at a time
+from a twiddle table, or applied as column FFTs. The commutation residual is
+exactly antisymmetric, so a block of rows is checked only against the
+columns from its first row on: half the matrix. The three blocked checks
+split their blocks over the pool of :func:`~mafrft.foundation._split_rows`
+once they have two ranges' worth (from N = 725, or N = 1023 for the
+symmetry check), and give the same maxima on any number of threads. Row and
+column blocks bound the extra memory to about 512 KB per block and thread
+on top of ``V`` and one N x N temporary.
 """
 
 import os
@@ -35,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import _twiddles, check_size, check_variant
+from .foundation import _split_rows, _twiddles, check_size, check_variant
 from .foundation import mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
@@ -48,8 +55,21 @@ _BLOCK_ELEMENTS = 1 << 15
 def _block(n: int) -> int:
     """Rows (or columns) of length ``n`` per block of the residual kernels:
     a complex block of about 512 KB bounds their working memory to a few
-    such blocks on top of ``V``, whatever N is."""
+    such blocks per thread on top of ``V``, whatever N is."""
     return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _worst(kernel, count: int, n: int) -> float:
+    """The largest ``kernel(a, b)`` over blocks of ``_block(n)`` of the rows
+    (or columns) ``0..count-1`` of length ``n``, with the blocks split over
+    the pool by :func:`_split_rows`. A maximum does not depend on how the
+    blocks fall, so every split gives the same value."""
+    step = _block(n)
+
+    def work(a, b):
+        return max(kernel(i, min(i + step, b)) for i in range(a, b, step))
+
+    return max(_split_rows(work, count, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +113,15 @@ class EigenBasis:
         del G
         # A mirror row's residual repeats its representative's exactly.
         r = mirror_layout(self.n, self.variant)[0]
-        mirror = reversal_permutation(self.n, self.variant)[:r]
+        mirror, parity = reversal_permutation(self.n, self.variant), (-1.0) ** ell
+
+        def symmetry(a, b):
+            return float(np.abs(V[mirror[a:b]] - V[a:b] * parity).max())
+
         return ValidationReport(
             orthonormality_residual=orth,
             eigen_residual=_eigen_residual(V, ell, self.variant),
-            symmetry_residual=float(np.abs(V[mirror] - V[:r] * (-1.0) ** ell).max()),
+            symmetry_residual=_worst(symmetry, r, self.n),
         )
 
 
@@ -173,26 +197,38 @@ def _commutation_residual(diag, off, variant: str) -> float:
 
     Works on blocks of rows of W generated from the twiddle table, with S
     applied as a band from the left (neighbouring rows) and from the right
-    (neighbouring columns): O(N^2) time, O(block * N) memory.
+    (neighbouring columns): O(N^2) time, O(block * N) memory. A block of rows
+    from ``j0`` on needs only the columns ``k >= j0``: D = SW - WS is exactly
+    antisymmetric in floating point, as W[j, k] and W[k, j] are the same
+    table entry and S is symmetric, so D[j, k] and -D[k, j] are the same sums
+    of the same products, and every entry left of ``j0`` mirrors one that an
+    earlier block evaluates.
     """
     n = len(diag)
     u, table = _twiddles(n, variant)
     table /= np.sqrt(n)
     ring = np.arange(-1, n + 1) % n  # ring[i + 1] = i, with one wrapped neighbour each side
-    below = off[ring[:-2]]  # S[k-1, k]
-    step = _block(n)
-    worst = 0.0
-    for j0 in range(0, n, step):
-        rows = ring[j0 : min(j0 + step, n) + 2]
-        j = rows[1:-1, None]
-        phase = np.outer(u[rows], u[ring])
-        phase %= 4 * n
-        W = table[phase]  # rows j0-1 .. j0+step of W, columns -1 .. N
-        SW = off[j - 1] * W[:-2, 1:-1] + diag[j] * W[1:-1, 1:-1] + off[j] * W[2:, 1:-1]
+    # W is worked on as (real, imaginary) float pairs: a real band entry times
+    # a complex one rounds each part as the complex product does. So the
+    # column factors S[k-1, k], S[k, k] and S[k, k+1] come once per part.
+    below, diag2, off2 = (np.repeat(a, 2) for a in (off[ring[:-2]], diag, off))
+
+    def rows(j0, j1):
+        j = ring[j0 + 1 : j1 + 1, None]
+        phase = np.outer(u[ring[j0 : j1 + 2]], u[ring[j0:]])
+        phase -= phase // (4 * n) * (4 * n)  # as % but faster
+        W = table[phase].view(float)  # rows j0-1 .. j1 of W, columns j0-1 .. N
+        D = off[j - 1] * W[:-2, 2:-2]  # SW
+        D += diag[j] * W[1:-1, 2:-2]
+        D += off[j] * W[2:, 2:-2]
         mid = W[1:-1]
-        WS = mid[:, :-2] * below + mid[:, 1:-1] * diag + mid[:, 2:] * off
-        worst = max(worst, float(np.abs(SW - WS).max()))
-    return worst
+        WS = mid[:, :-4] * below[2 * j0:]
+        WS += mid[:, 2:-2] * diag2[2 * j0:]
+        WS += mid[:, 4:] * off2[2 * j0:]
+        D -= WS
+        return float(np.abs(D.view(complex)).max())
+
+    return _worst(rows, n, n)
 
 
 def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float:
@@ -207,13 +243,20 @@ def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float
     pre = table[(-2 * m * np.arange(n)) % (4 * n)][:, None]
     post = table[(m * m - 2 * m * np.arange(n)) % (4 * n)][:, None] / np.sqrt(n)
     lam = np.array([1, -1j, -1, 1j])[exponents % 4]
-    step = _block(n)
-    worst = 0.0
-    for c0 in range(0, n, step):
-        cols = slice(c0, c0 + step)
-        WV = post * np.fft.fft(pre * V[:, cols], axis=0)
-        worst = max(worst, float(np.abs(WV - V[:, cols] * lam[cols]).max()))
-    return worst
+
+    def columns(c0, c1):
+        v = V[:, c0:c1]
+        if m:
+            WV = pre * v
+            np.fft.fft(WV, axis=0, out=WV)
+            np.multiply(post, WV, out=WV)
+        else:  # standard: pre is 1 and post 1/sqrt(N), so it is one orthonormal FFT
+            WV = v.astype(complex)
+            np.fft.fft(WV, axis=0, out=WV, norm="ortho")
+        WV -= v * lam[c0:c1]
+        return float(np.abs(WV).max())
+
+    return _worst(columns, n, n)
 
 
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
@@ -247,7 +290,11 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     orbit = np.where(k < r, k, lo + n - 1 - k)  # representative of k's orbit
     paired = (lo <= orbit) & (orbit < lo + c)
     i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
-    V = np.zeros((n, n))
+    # Class columns: the even class is 0:m:2 plus m:n, which is column N-1
+    # (exponent N) for the standard variant with even N and empty otherwise;
+    # the odd class is 1:m:2 (its m+1:n is always empty).
+    m = n - 1 if ell[-1] == n else n
+    V = np.empty((n, n))
     for sign, parity, live in ((1.0, 0, slice(0, r)), (-1.0, 1, slice(lo, lo + c))):
         # The class basis vector of orbit a is the sum of w[k] * e[k] over
         # orbit[k] == a (w is 0 at the odd class's fixed points); the band
@@ -255,18 +302,38 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
         w = np.where(paired, np.where(k < r, 1.0, sign) / np.sqrt(2), (1 + sign) / 2)
         block = np.zeros((r, r))
         np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
-        U = np.zeros_like(block[:, live])
-        U[live] = np.linalg.eigh(block[live, live])[1][:, ::-1]  # descending
-        V[:, ell % 2 == parity] = w[:, None] * U[orbit]
-    # Rows r.. repeat the magnitudes of earlier rows: the first largest entry
-    # of each column lies among the representatives.
-    lead = np.abs(V[:r]).argmax(axis=0)
-    V *= np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
+        U = np.linalg.eigh(block[live, live])[1][:, ::-1]  # descending
+        q = len(range(parity, m, 2))
+        for cols, part in ((slice(parity, m, 2), U[:, :q]), (slice(m + parity, n), U[:, q:])):
+            # Rows 0..r-1 are w * U, and 0 at the odd class's fixed points;
+            # each mirror row repeats a representative's magnitudes further
+            # down, so the first largest entry of each column lies among rows
+            # 0..r-1, and the sign that makes it positive is fixed there,
+            # before the mirror copy.
+            rep = V[:r, cols]
+            rep[:live.start] = rep[live.stop:] = 0.0
+            np.multiply(w[live, None], part, out=rep[live])
+            rep *= _lead_signs(rep)
+            np.multiply(rep[lo:lo + c][::-1], sign, out=V[r:, cols])  # the mirror rows
 
+    del block, U, part  # freed before V.T @ V, which would peak on top of them
     V.flags.writeable = False  # kept by the basis without a copy
     basis = EigenBasis(variant, V)
     basis._report.require(f"n={n}, variant={variant}")
     return basis
+
+
+def _lead_signs(X: np.ndarray) -> np.ndarray:
+    """-1.0 for each column of X whose first largest-magnitude entry is
+    negative, else 1.0. Only a column whose largest and smallest entries
+    have equal magnitude needs the first of them, so only such a column
+    pays for ``argmax``."""
+    top, bottom = X.max(axis=0), -X.min(axis=0)
+    negative = bottom > top
+    tie = np.flatnonzero(bottom == top)
+    lead = np.abs(X[:, tie]).argmax(axis=0)
+    negative[tie] = X[lead, tie] < 0
+    return np.where(negative, -1.0, 1.0)
 
 
 def validate_eigenbasis(basis: EigenBasis) -> ValidationReport:
@@ -279,12 +346,16 @@ def save_basis(basis: EigenBasis, path) -> None:
     """Write the binary cache format: magic, n (int32), variant byte, then
     V as little-endian float64 row-major and exponents as int32. V is
     written from the array the basis keeps, without a copy."""
-    with open(path, "wb") as fh:
+    # An existing file is written over and then cut to length, not truncated
+    # on open: ext4 flushes a file truncated to zero and rewritten when it is
+    # closed, which took an N=2048 save from about 7 ms to 20-45 ms.
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<i", basis.n))
         fh.write(struct.pack("B", _VARIANT_CODE[basis.variant]))
         fh.write(np.ascontiguousarray(basis.vectors, dtype="<f8"))
         fh.write(np.ascontiguousarray(basis.exponents, dtype="<i4"))
+        fh.truncate()
 
 
 def load_basis(path) -> EigenBasis:

@@ -6,6 +6,10 @@ Two DFT conventions are supported throughout the library:
 * ``"centered"``: indices shifted by ``(N-1)/2`` in both rows and columns,
   so the transform probes frequencies symmetric about zero.
 
+One pool of threads serves every call that splits its work:
+:func:`_split_rows` runs the row ranges of a multiangle transform and the
+row or column blocks of a basis self-check on it.
+
 Row FFTs run on ``numpy.fft`` (pocketfft, any length in O(N log N)). Each
 counts one FFT invocation per row at its call boundary, so the paper's
 FFT-count claims stay exact however numpy batches the rows. The multiangle
@@ -14,6 +18,9 @@ reference, run on a ``z_matrix``, that the harness and the tests check them by.
 """
 
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -98,3 +105,73 @@ def fft_rows_unnormalized(z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     counters.fft_calls += z.shape[0]
     return np.fft.fft(z, axis=1)
+
+
+# The least elements in one range of :func:`_split_rows`: a call with fewer
+# than two ranges' worth runs on its own thread.
+_SPLIT = 2**18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_THREADS = _usable_cpus()  # the most threads one call runs on
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The pool of helper threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mafrft")
+        return _pool
+
+
+def _drop_executor() -> None:
+    # a forked child copies the pool but none of its threads, so a submit
+    # there would wait forever: the child makes its own pool when it needs one
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _split_rows(work, rows: int, cost: int) -> list:
+    """Run ``work(a, b)`` over the rows ``0..rows-1`` of cost ``cost`` each,
+    in ranges of at least ``_SPLIT``, on this thread and up to
+    ``_THREADS - 1`` pool threads, and return its values, one per range in
+    no set order. With one range it is one call on this thread. Each thread
+    takes the next range until none is left, so a thread the host holds back
+    delays the call by one range at most. ``work`` writes only its own rows
+    (or columns) and never submits to the pool, so a range never waits for
+    another."""
+    parts = rows * cost // _SPLIT
+    helpers = min(_THREADS, parts) - 1
+    if helpers < 1:
+        return [work(0, rows)]
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    ranges = iter(list(zip(bounds, bounds[1:])))  # each next() is atomic
+    values = []
+
+    def drain():
+        for a, b in ranges:
+            values.append(work(a, b))
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        # also for a helper that found no range left: cancelled, its queued
+        # task would keep ``work``, and with it the result, alive until a
+        # pool thread picked it up
+        for f in futures:
+            f.result()
+    return values

@@ -17,15 +17,13 @@ oversampled DFT, R = N+1) restores it at a slightly different order grid.
 
 Both paths run one row routine. Each row depends only on its own row of V,
 so the rows are split into ranges of at least 2**18 elements of Z, at most
-one per CPU the process may run on, and run on a pool of threads; each
+one per CPU the process may run on, and run on the pool of threads that
+:mod:`mafrft.foundation` keeps for this and for the basis self-checks; each
 range is formed in the rows of X, corrected, transformed and (for the half
 path) mirrored in one pass, and the rows come out bit for bit as on one
 thread.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -35,7 +33,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import mirror_layout
+from .foundation import _split_rows, mirror_layout
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -124,74 +122,6 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
         Zhat = Z.copy()
         _fold(Zhat, basis.n)
     return ZMatrix(Z=Z, Zhat=Zhat)
-
-
-# The least elements of Z in one row range: a call with fewer than two
-# ranges' worth runs on its own thread.
-_SPLIT = 2**18
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-_THREADS = _usable_cpus()  # the most threads one call runs on
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The pool of helper threads, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mafrft")
-        return _pool
-
-
-def _drop_executor() -> None:
-    # a forked child copies the pool but none of its threads, so a submit
-    # there would wait forever: the child makes its own pool when it needs one
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_executor)
-
-
-def _split_rows(work, rows: int, cost: int) -> None:
-    """Run ``work(a, b)`` over the rows ``0..rows-1`` of cost ``cost`` each,
-    in ranges of at least ``_SPLIT``, on this thread and up to
-    ``_THREADS - 1`` pool threads. With one range it is one call on this
-    thread. Each thread takes the next range until none is left, so a thread
-    the host holds back delays the call by one range at most. ``work``
-    writes only its own rows and never submits to the pool, so a range never
-    waits for another."""
-    parts = rows * cost // _SPLIT
-    helpers = min(_THREADS, parts) - 1
-    if helpers < 1:
-        work(0, rows)
-        return
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    ranges = iter(list(zip(bounds, bounds[1:])))  # each next() is atomic
-
-    def drain():
-        for a, b in ranges:
-            work(a, b)
-
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        # also for a helper that found no range left: cancelled, its queued
-        # task would keep ``work``, and with it the result, alive until a
-        # pool thread picked it up
-        for f in futures:
-            f.result()
 
 
 def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:

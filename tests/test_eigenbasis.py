@@ -1,5 +1,7 @@
 import dataclasses
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mafrft import (
     DegenerateBasis,
@@ -20,11 +23,12 @@ from mafrft import (
     save_basis,
     validate_eigenbasis,
 )
-from mafrft import eigenbasis
+from mafrft import eigenbasis, foundation
 from mafrft.eigenbasis import (
     _BOUNDS, ValidationReport, _commutation_residual, _commuting_band,
-    _eigen_residual, index_vector,
+    _eigen_residual, _lead_signs, index_vector,
 )
+from mafrft.foundation import _twiddles, mirror_layout
 from tests.conftest import cached_basis, expected_multiplicities, multiplicities
 
 
@@ -168,6 +172,19 @@ def test_cache_round_trip(tmp_path, basis_of):
     assert path.read_bytes()[:7] == b"FRFTEB1"
 
 
+def test_save_writes_over_an_existing_file(tmp_path, basis_of):
+    # the file is written in place and cut to length: a smaller basis saved
+    # over a larger one leaves no trailing bytes, and a larger one over a
+    # smaller grows it
+    path, small, large = tmp_path / "basis.bin", basis_of(8, "standard"), basis_of(12, "centered")
+    for b in (large, small, large):
+        save_basis(b, path)
+        assert path.stat().st_size == 12 + 8 * b.n * b.n + 4 * b.n
+        loaded = load_basis(path)
+        assert loaded.variant == b.variant
+        assert np.array_equal(loaded.vectors, b.vectors)
+
+
 def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTABAS" + b"\0" * 16)
@@ -241,10 +258,174 @@ def test_residual_kernels_blocked(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 @pytest.mark.parametrize("n", [8, 9])
-def test_flipped_corner_fails_commutation(n, variant):
+def test_flipped_corner_fails_commutation(n, variant, monkeypatch):
     diag, off = _commuting_band(n, variant)
     off[-1] = -off[-1]
     assert _commutation_residual(diag, off, variant) > 1e-8
+    # also with one row per block, each row against the columns from its own
+    # on, and with the rows split over the pool
+    monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", n)
+    assert _commutation_residual(diag, off, variant) > 1e-8
+    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
+    monkeypatch.setattr(foundation, "_SPLIT", n)
+    assert _commutation_residual(diag, off, variant) > 1e-8
+
+
+# --- bit-exact references for the blocked, pooled and unfolded kernels -------------
+
+
+def _full_commutation_matrix(diag, off, variant):
+    """D = SW - WS over every row and column, in complex arithmetic, with the
+    products and sums of the library kernel."""
+    n = len(diag)
+    u, table = _twiddles(n, variant)
+    table /= np.sqrt(n)
+    ring = np.arange(-1, n + 1) % n
+    W = table[np.outer(u[ring], u[ring]) % (4 * n)]  # rows and columns -1 .. N
+    j = np.arange(n)[:, None]
+    SW = off[j - 1] * W[:-2, 1:-1] + diag[j] * W[1:-1, 1:-1] + off[j] * W[2:, 1:-1]
+    mid = W[1:-1]
+    WS = mid[:, :-2] * off[ring[:-2]] + mid[:, 1:-1] * diag + mid[:, 2:] * off
+    return SW - WS
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]),
+       rows=st.integers(1, 7))
+def test_half_commutation_kernel_equals_full_matrix(n, variant, rows):
+    # D is exactly antisymmetric, so a block of rows needs only the columns
+    # from its first row on; `rows` rows per block makes the blocks ragged.
+    band = _commuting_band(n, variant)
+    D = _full_commutation_matrix(*band, variant)
+    assert np.array_equal(np.abs(D), np.abs(D.T))
+    full = float(np.abs(D).max())
+    assert _commutation_residual(*band, variant) == full
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigenbasis, "_BLOCK_ELEMENTS", rows * n)
+        assert _commutation_residual(*band, variant) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]))
+def test_pooled_self_checks_equal_one_thread(n, variant):
+    V = cached_basis(n, variant).vectors
+    band = _commuting_band(n, variant)
+
+    def checks():
+        # a new basis for a report of its own; V is kept without a copy
+        basis = EigenBasis(variant, V)
+        return validate_eigenbasis(basis), _commutation_residual(*band, variant)
+
+    tasks, executor = [], foundation._executor
+
+    class Recorder:
+        def submit(self, fn, *args):
+            tasks.append(fn)
+            return executor().submit(fn, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(foundation, "_THREADS", 1)
+        one = checks()
+        # a range of one row (or column) of length n: at least 4 ranges
+        mp.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
+        mp.setattr(foundation, "_SPLIT", n)
+        mp.setattr(foundation, "_executor", Recorder)
+        pooled = checks()
+    assert tasks, "the self-checks did not split"
+    assert pooled == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]),
+       columns=st.integers(1, 7))
+def test_eigen_kernel_equals_phase_ramp_formula(n, variant, columns):
+    # The standard variant skips the unit ramps and scales inside the FFT;
+    # the reference multiplies by both ramps in complex arithmetic.
+    b = cached_basis(n, variant)
+    V, ell = b.vectors, b.exponents
+    u, table = _twiddles(n, variant)
+    m = -u[0]
+    pre = table[(-2 * m * np.arange(n)) % (4 * n)][:, None]
+    post = table[(m * m - 2 * m * np.arange(n)) % (4 * n)][:, None] / np.sqrt(n)
+    lam = np.array([1, -1j, -1, 1j])[ell % 4]
+    want = float(np.abs(post * np.fft.fft(pre * V, axis=0) - V * lam).max())
+    assert _eigen_residual(V, ell, variant) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigenbasis, "_BLOCK_ELEMENTS", columns * n)
+        assert _eigen_residual(V, ell, variant) == want
+
+
+def test_concurrent_self_checks_equal_serial(monkeypatch):
+    # more checking threads than cores, all sharing the pool, with ranges of
+    # one row or column so that every check splits
+    bases = [cached_basis(n, v) for n, v in ((40, "standard"), (41, "centered"))]
+    want = [validate_eigenbasis(EigenBasis(b.variant, b.vectors)) for b in bases]
+    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
+    monkeypatch.setattr(foundation, "_SPLIT", 41)
+    mismatches, errors = [], []
+
+    def checker(k):
+        try:
+            for i in range(6):
+                j = (i + k) % 2
+                b = bases[j]
+                if validate_eigenbasis(EigenBasis(b.variant, b.vectors)) != want[j]:
+                    mismatches.append((k, j))
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=checker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not mismatches
+
+
+def _gathered_basis(n, variant):
+    """V unfolded from the class eigenvectors by gathering ``U[orbit]`` for
+    every row, then each column's sign fixed over all N rows."""
+    ell = index_vector(n, variant)
+    diag, off = _commuting_band(n, variant)
+    r, c, lo = mirror_layout(n, variant)
+    k = np.arange(n)
+    orbit = np.where(k < r, k, lo + n - 1 - k)
+    paired = (lo <= orbit) & (orbit < lo + c)
+    i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
+    V = np.zeros((n, n))
+    for sign, parity, live in ((1.0, 0, slice(0, r)), (-1.0, 1, slice(lo, lo + c))):
+        w = np.where(paired, np.where(k < r, 1.0, sign) / np.sqrt(2), (1 + sign) / 2)
+        block = np.zeros((r, r))
+        np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
+        U = np.zeros_like(block[:, live])
+        U[live] = np.linalg.eigh(block[live, live])[1][:, ::-1]
+        V[:, ell % 2 == parity] = w[:, None] * U[orbit]
+    lead = np.abs(V).argmax(axis=0)
+    return V * np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]))
+def test_slice_unfold_equals_orbit_gather(n, variant):
+    # byte for byte, so also every signed zero
+    V = build_eigenbasis(n, variant).vectors
+    assert V.tobytes() == _gathered_basis(n, variant).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(0, 6)),
+              elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+def test_lead_signs_follow_the_first_largest_entry(X):
+    # few distinct values, so many columns tie between +m and -m
+    lead = np.abs(X).argmax(axis=0)
+    want = np.where(X[lead, np.arange(X.shape[1])] < 0, -1.0, 1.0)
+    assert np.array_equal(_lead_signs(X), want)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])

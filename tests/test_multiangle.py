@@ -32,7 +32,7 @@ from mafrft import (
     z_matrix,
 )
 import mafrft
-from mafrft import multiangle
+from mafrft import foundation, multiangle
 from mafrft.foundation import fft_rows_unnormalized, mirror_layout
 from mafrft.multiangle import MultiangleResult
 from tests.conftest import cached_basis, random_signal
@@ -530,15 +530,15 @@ SPLIT_SIZES = [1024, 1025]
 def submitted(monkeypatch):
     """Two threads or more, however many CPUs the host allows, and a record
     of every task handed to the pool."""
-    monkeypatch.setattr(multiangle, "_THREADS", max(2, multiangle._THREADS))
-    tasks, executor = [], multiangle._executor
+    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
+    tasks, executor = [], foundation._executor
 
     class Recorder:
         def submit(self, fn, *args):
             tasks.append(fn)
             return executor().submit(fn, *args)
 
-    monkeypatch.setattr(multiangle, "_executor", Recorder)
+    monkeypatch.setattr(foundation, "_executor", Recorder)
     return tasks
 
 
@@ -572,7 +572,7 @@ def test_split_off_gives_identical_rows(n, variant, basis_of, submitted, monkeyp
     split = [_call(b, x, half) for half in (False, True)]
     tasks = len(submitted)
     assert tasks >= 2
-    monkeypatch.setattr(multiangle, "_THREADS", 1)
+    monkeypatch.setattr(foundation, "_THREADS", 1)
     for half, X in zip((False, True), split):
         assert np.array_equal(_call(b, x, half), X)
     assert len(submitted) == tasks
@@ -612,33 +612,65 @@ def test_concurrent_callers_get_serial_results(basis_of, submitted):
     assert len(submitted) >= 4 * 4 * 2
 
 
-def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
-    # the child gets a copy of the parent's pool without its threads
-    save_basis(basis_of(1024, "standard"), tmp_path / "basis.bin")
-    script = textwrap.dedent(f"""
-        import multiprocessing, warnings
-        import numpy as np
-        from mafrft import load_basis, ma_frft_full, multiangle
-
-        multiangle._THREADS = max(2, multiangle._THREADS)
-        b = load_basis({str(tmp_path / "basis.bin")!r})
-        x = np.arange(b.n) + 1j
-        want = ma_frft_full(b, x).X
-        assert multiangle._pool is not None
-
-        def child():
-            assert np.array_equal(ma_frft_full(b, x).X, want)
-            assert multiangle._pool is not None
-
-        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
-        p = multiprocessing.get_context("fork").Process(target=child, daemon=True)
-        p.start()
-        p.join(60)
-        assert p.exitcode == 0, p.exitcode
-    """)
+def _run_script(script):
     src = os.path.dirname(os.path.dirname(mafrft.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
+    # the child gets a copy of the parent's pool without its threads
+    save_basis(basis_of(1024, "standard"), tmp_path / "basis.bin")
+    _run_script(textwrap.dedent(f"""
+        import multiprocessing, warnings
+        import numpy as np
+        from mafrft import foundation, load_basis, ma_frft_full
+
+        foundation._THREADS = max(2, foundation._THREADS)
+        b = load_basis({str(tmp_path / "basis.bin")!r})
+        x = np.arange(b.n) + 1j
+        want = ma_frft_full(b, x).X
+        assert foundation._pool is not None
+
+        def child():
+            assert np.array_equal(ma_frft_full(b, x).X, want)
+            assert foundation._pool is not None
+
+        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
+        p = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+        p.start()
+        p.join(60)
+        assert p.exitcode == 0, p.exitcode
+    """))
+
+
+def test_pooled_build_works_in_a_forked_child():
+    # the build's self-checks made the pool; a forked child builds,
+    # validates and transforms on a pool of its own
+    _run_script(textwrap.dedent("""
+        import multiprocessing, warnings
+        import numpy as np
+        from mafrft import build_eigenbasis, foundation, ma_frft_half, validate_eigenbasis
+
+        foundation._THREADS = max(2, foundation._THREADS)
+        foundation._SPLIT = 2**10
+        want = build_eigenbasis(64, "centered")
+        assert foundation._pool is not None
+        x = np.arange(64) + 1j
+
+        def child():
+            b = build_eigenbasis(64, "centered")
+            assert validate_eigenbasis(b) == validate_eigenbasis(want)
+            assert np.array_equal(b.vectors, want.vectors)
+            assert np.array_equal(ma_frft_half(b, x).X, ma_frft_half(want, x).X)
+            assert foundation._pool is not None
+
+        warnings.filterwarnings("ignore", ".*multi-threaded.*", DeprecationWarning)
+        p = multiprocessing.get_context("fork").Process(target=child, daemon=True)
+        p.start()
+        p.join(60)
+        assert p.exitcode == 0, p.exitcode
+    """))
