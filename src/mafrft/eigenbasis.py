@@ -27,14 +27,13 @@ residuals take O(N^2 log N): the DFT is generated a block of rows at a time
 from a twiddle table, or applied as column FFTs. The commutation residual is
 exactly antisymmetric, so a block of rows is checked only against the
 columns from its first row on: half the matrix. The three blocked checks
-split their blocks over the pool of :func:`~mafrft.foundation._split_rows`
-once they have two ranges' worth (from N = 725, or N = 1023 for the
-symmetry check), and give the same maxima on any number of threads. Row and
-column blocks bound the extra memory to about 512 KB per block and thread
-on top of ``V`` and one N x N temporary.
+run their blocks one after another on the calling thread; the build uses no
+threads of its own. Row and column blocks bound the extra memory to about
+512 KB per block on top of ``V`` and one N x N temporary.
 """
 
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
-from .foundation import _split_rows, _twiddles, check_size, check_variant
+from .foundation import _twiddles, check_size, check_variant
 from .foundation import mirror_layout, reversal_permutation
 
 CACHE_MAGIC = b"FRFTEB1"
@@ -55,29 +54,24 @@ _BLOCK_ELEMENTS = 1 << 15
 def _block(n: int) -> int:
     """Rows (or columns) of length ``n`` per block of the residual kernels:
     a complex block of about 512 KB bounds their working memory to a few
-    such blocks per thread on top of ``V``, whatever N is."""
+    such blocks on top of ``V``, whatever N is."""
     return max(1, _BLOCK_ELEMENTS // n)
 
 
 def _worst(kernel, count: int, n: int) -> float:
     """The largest ``kernel(a, b)`` over blocks of ``_block(n)`` of the rows
-    (or columns) ``0..count-1`` of length ``n``, with the blocks split over
-    the pool by :func:`_split_rows`. A maximum does not depend on how the
-    blocks fall, so every split gives the same value."""
+    (or columns) ``0..count-1`` of length ``n``, one block after another on
+    the calling thread."""
     step = _block(n)
-
-    def work(a, b):
-        return max(kernel(i, min(i + step, b)) for i in range(a, b, step))
-
-    return max(_split_rows(work, count, n))
+    return max(kernel(a, min(a + step, count)) for a in range(0, count, step))
 
 
 @dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Reusable eigendecomposition of a DFT matrix.
 
-    ``vectors``: a real, finite N x N orthonormal matrix whose columns are
-    eigenvectors, or the constructor raises ValueError. ``n`` and
+    ``vectors``: a real, finite N x N orthonormal matrix with N >= 4 whose
+    columns are eigenvectors, or the constructor raises ValueError. ``n`` and
     ``exponents = index_vector(n, variant)`` are derived: column k has
     eigenvalue ``(-1j)**exponents[k]`` under the DFT of the variant.
 
@@ -99,7 +93,7 @@ class EigenBasis:
                 and np.isfinite(V).all()):
             raise ValueError(f"not a real, finite, square matrix: {V.dtype} {V.shape}")
         V = V.astype(float, copy=V.flags.writeable or not V.flags.owndata)
-        ell = index_vector(len(V), self.variant)
+        ell = index_vector(check_size(len(V), 4), self.variant)
         V.flags.writeable = ell.flags.writeable = False
         for name, value in (("vectors", V), ("n", len(V)), ("exponents", ell)):
             object.__setattr__(self, name, value)
@@ -346,16 +340,18 @@ def save_basis(basis: EigenBasis, path) -> None:
     """Write the binary cache format: magic, n (int32), variant byte, then
     V as little-endian float64 row-major and exponents as int32. V is
     written from the array the basis keeps, without a copy."""
-    # An existing file is written over and then cut to length, not truncated
-    # on open: ext4 flushes a file truncated to zero and rewritten when it is
-    # closed, which took an N=2048 save from about 7 ms to 20-45 ms.
+    # An existing regular file is written over and then cut to length, not
+    # truncated on open: ext4 flushes a file truncated to zero and rewritten
+    # when it is closed, which took an N=2048 save from about 7 ms to 20-45 ms.
+    # A device or a pipe cannot be cut (EINVAL, ESPIPE) and needs no cut.
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<i", basis.n))
         fh.write(struct.pack("B", _VARIANT_CODE[basis.variant]))
         fh.write(np.ascontiguousarray(basis.vectors, dtype="<f8"))
         fh.write(np.ascontiguousarray(basis.exponents, dtype="<i4"))
-        fh.truncate()
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
 
 
 def load_basis(path) -> EigenBasis:

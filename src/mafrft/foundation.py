@@ -6,9 +6,8 @@ Two DFT conventions are supported throughout the library:
 * ``"centered"``: indices shifted by ``(N-1)/2`` in both rows and columns,
   so the transform probes frequencies symmetric about zero.
 
-One pool of threads serves every call that splits its work:
-:func:`_split_rows` runs the row ranges of a multiangle transform and the
-row or column blocks of a basis self-check on it.
+One pool of threads, made at import, runs the row ranges of the multiangle
+transforms through :func:`_split_rows`; no other call uses threads.
 
 Row FFTs run on ``numpy.fft`` (pocketfft, any length in O(N log N)). Each
 counts one FFT invocation per row at its call boundary, so the paper's
@@ -19,7 +18,6 @@ reference, run on a ``z_matrix``, that the harness and the tests check them by.
 
 import operator
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -120,52 +118,41 @@ def _usable_cpus() -> int:
 
 
 _THREADS = _usable_cpus()  # the most threads one call runs on
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _executor() -> ThreadPoolExecutor:
-    """The pool of helper threads, made on first use."""
+def _new_pool() -> None:
+    # made at import, and again in a forked child, which copies the pool but
+    # none of its threads; the executor starts no thread before its first task
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS - 1, thread_name_prefix="mafrft")
-        return _pool
+    _pool = ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="mafrft")
 
 
-def _drop_executor() -> None:
-    # a forked child copies the pool but none of its threads, so a submit
-    # there would wait forever: the child makes its own pool when it needs one
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
-os.register_at_fork(after_in_child=_drop_executor)
-
-
-def _split_rows(work, rows: int, cost: int) -> list:
+def _split_rows(work, rows: int, cost: int) -> None:
     """Run ``work(a, b)`` over the rows ``0..rows-1`` of cost ``cost`` each,
     in ranges of at least ``_SPLIT``, on this thread and up to
-    ``_THREADS - 1`` pool threads, and return its values, one per range in
-    no set order. With one range it is one call on this thread. Each thread
-    takes the next range until none is left, so a thread the host holds back
-    delays the call by one range at most. ``work`` writes only its own rows
-    (or columns) and never submits to the pool, so a range never waits for
-    another."""
+    ``_THREADS - 1`` pool threads. With one range it is one call on this
+    thread. Each thread takes the next range until none is left, so a thread
+    the host holds back delays the call by one range at most. ``work``
+    writes only its own rows and never submits to the pool, so a range never
+    waits for another. The row routine of the multiangle transforms is its
+    one caller: nothing else in the library runs on threads."""
     parts = rows * cost // _SPLIT
     helpers = min(_THREADS, parts) - 1
     if helpers < 1:
-        return [work(0, rows)]
+        work(0, rows)
+        return
     bounds = [rows * k // parts for k in range(parts + 1)]
     ranges = iter(list(zip(bounds, bounds[1:])))  # each next() is atomic
-    values = []
 
     def drain():
         for a, b in ranges:
-            values.append(work(a, b))
+            work(a, b)
 
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(helpers)]
+    futures = [_pool.submit(drain) for _ in range(helpers)]
     try:
         drain()
     finally:
@@ -174,4 +161,3 @@ def _split_rows(work, rows: int, cost: int) -> list:
         # pool thread picked it up
         for f in futures:
             f.result()
-    return values

@@ -3,7 +3,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from mafrft import build_eigenbasis
+from mafrft import build_eigenbasis, foundation
 
 
 @lru_cache(maxsize=None)
@@ -14,6 +14,22 @@ def cached_basis(n, variant):
 @pytest.fixture
 def basis_of():
     return cached_basis
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Two threads or more, however many CPUs the host allows, and a record
+    of every task handed to the pool."""
+    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
+    tasks, pool = [], foundation._pool
+
+    class Recorder:
+        def submit(self, fn, *args):
+            tasks.append(fn)
+            return pool.submit(fn, *args)
+
+    monkeypatch.setattr(foundation, "_pool", Recorder())
+    return tasks
 
 
 def random_signal(n, seed=0):

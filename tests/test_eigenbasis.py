@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import struct
 import sys
 import threading
@@ -19,6 +20,7 @@ from mafrft import (
     commuting_matrix,
     dft_matrix,
     load_basis,
+    ma_frft_full,
     reversal_permutation,
     save_basis,
     validate_eigenbasis,
@@ -185,6 +187,36 @@ def test_save_writes_over_an_existing_file(tmp_path, basis_of):
         assert np.array_equal(loaded.vectors, b.vectors)
 
 
+def test_save_to_a_device_and_to_a_pipe(tmp_path, basis_of):
+    # neither can be cut to length, and neither needs it
+    b, path = basis_of(8, "standard"), tmp_path / "basis.bin"
+    save_basis(b, path)
+    save_basis(b, os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_basis(b, fifo)
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [path.read_bytes()]
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_hand_made_basis_needs_n_at_least_4(tmp_path, variant):
+    # what saves must load: load_basis refuses n < 4, so the constructor does
+    for n in (1, 2, 3):
+        with pytest.raises(ValueError, match="n must be >= 4"):
+            EigenBasis(variant, np.eye(n))
+    basis = EigenBasis(variant, cached_basis(4, variant).vectors.copy())
+    save_basis(basis, tmp_path / "basis.bin")
+    loaded = load_basis(tmp_path / "basis.bin")
+    assert loaded.variant == variant
+    assert np.array_equal(loaded.vectors, basis.vectors)
+    assert validate_eigenbasis(loaded) == validate_eigenbasis(basis)
+
+
 def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTABAS" + b"\0" * 16)
@@ -262,16 +294,12 @@ def test_flipped_corner_fails_commutation(n, variant, monkeypatch):
     diag, off = _commuting_band(n, variant)
     off[-1] = -off[-1]
     assert _commutation_residual(diag, off, variant) > 1e-8
-    # also with one row per block, each row against the columns from its own
-    # on, and with the rows split over the pool
+    # also with one row per block, each row against the columns from its own on
     monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", n)
     assert _commutation_residual(diag, off, variant) > 1e-8
-    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
-    monkeypatch.setattr(foundation, "_SPLIT", n)
-    assert _commutation_residual(diag, off, variant) > 1e-8
 
 
-# --- bit-exact references for the blocked, pooled and unfolded kernels -------------
+# --- bit-exact references for the blocked and unfolded kernels ---------------------
 
 
 def _full_commutation_matrix(diag, off, variant):
@@ -305,34 +333,17 @@ def test_half_commutation_kernel_equals_full_matrix(n, variant, rows):
         assert _commutation_residual(*band, variant) == full
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]))
-def test_pooled_self_checks_equal_one_thread(n, variant):
-    V = cached_basis(n, variant).vectors
-    band = _commuting_band(n, variant)
-
-    def checks():
-        # a new basis for a report of its own; V is kept without a copy
-        basis = EigenBasis(variant, V)
-        return validate_eigenbasis(basis), _commutation_residual(*band, variant)
-
-    tasks, executor = [], foundation._executor
-
-    class Recorder:
-        def submit(self, fn, *args):
-            tasks.append(fn)
-            return executor().submit(fn, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(foundation, "_THREADS", 1)
-        one = checks()
-        # a range of one row (or column) of length n: at least 4 ranges
-        mp.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
-        mp.setattr(foundation, "_SPLIT", n)
-        mp.setattr(foundation, "_executor", Recorder)
-        pooled = checks()
-    assert tasks, "the self-checks did not split"
-    assert pooled == one
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [40, 41])
+def test_build_and_self_checks_hand_no_task_to_the_pool(n, variant, submitted,
+                                                          monkeypatch):
+    # ranges of one row: a call that split its work would submit at once
+    monkeypatch.setattr(foundation, "_SPLIT", n)
+    b = build_eigenbasis(n, variant)
+    assert validate_eigenbasis(EigenBasis(variant, b.vectors)) == validate_eigenbasis(b)
+    assert not submitted, "the basis build or its self-checks used the pool"
+    ma_frft_full(b, np.arange(n) + 1j)
+    assert submitted, "the same settings did not split a transform"
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,13 +366,11 @@ def test_eigen_kernel_equals_phase_ramp_formula(n, variant, columns):
         assert _eigen_residual(V, ell, variant) == want
 
 
-def test_concurrent_self_checks_equal_serial(monkeypatch):
-    # more checking threads than cores, all sharing the pool, with ranges of
-    # one row or column so that every check splits
+def test_concurrent_self_checks_equal_serial():
+    # more checking threads than cores, each running its checks on its own
+    # thread, interleaved at a tiny switch interval
     bases = [cached_basis(n, v) for n, v in ((40, "standard"), (41, "centered"))]
     want = [validate_eigenbasis(EigenBasis(b.variant, b.vectors)) for b in bases]
-    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
-    monkeypatch.setattr(foundation, "_SPLIT", 41)
     mismatches, errors = [], []
 
     def checker(k):

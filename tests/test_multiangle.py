@@ -526,22 +526,6 @@ def test_basis_and_results_compare_and_hash_by_identity():
 SPLIT_SIZES = [1024, 1025]
 
 
-@pytest.fixture
-def submitted(monkeypatch):
-    """Two threads or more, however many CPUs the host allows, and a record
-    of every task handed to the pool."""
-    monkeypatch.setattr(foundation, "_THREADS", max(2, foundation._THREADS))
-    tasks, executor = [], foundation._executor
-
-    class Recorder:
-        def submit(self, fn, *args):
-            tasks.append(fn)
-            return executor().submit(fn, *args)
-
-    monkeypatch.setattr(foundation, "_executor", Recorder)
-    return tasks
-
-
 def _call(b, x, half):
     if half:
         return ma_frft_half(b, x, pad_odd=b.n % 2 == 1).X
@@ -621,6 +605,17 @@ def _run_script(script):
     assert done.returncode == 0, done.stderr
 
 
+def test_import_starts_no_thread():
+    # the pool is made at import, but starts a thread only for its first task
+    _run_script(textwrap.dedent("""
+        import threading
+        before = threading.active_count()
+        import mafrft
+        assert threading.active_count() == before, threading.enumerate()
+        assert mafrft.foundation._pool is not None
+    """))
+
+
 def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
     # the child gets a copy of the parent's pool without its threads
     save_basis(basis_of(1024, "standard"), tmp_path / "basis.bin")
@@ -648,8 +643,9 @@ def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
 
 
 def test_pooled_build_works_in_a_forked_child():
-    # the build's self-checks made the pool; a forked child builds,
-    # validates and transforms on a pool of its own
+    # the build makes no threads, and the parent's pool, made at import, has
+    # none yet; a forked child builds, validates and transforms on a pool of
+    # its own
     _run_script(textwrap.dedent("""
         import multiprocessing, warnings
         import numpy as np
