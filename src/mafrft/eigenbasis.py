@@ -13,14 +13,21 @@ subspaces first, which makes every column exactly symmetric or antisymmetric
 under the reversal operator and sidesteps degenerate eigenvalue pairs of the
 commuting matrix (which only occur across the two symmetry classes).
 
-Cost: the two half-size class blocks are folded from the 3N band entries of
-the commuting matrix by one orbit map; no dense commuting matrix is formed.
-Their eigenvectors are unfolded by slices: rows 0..r-1 of a class's columns
-are the weighted eigenvectors, signed there, and the mirror rows are those
-rows reversed (negated in the odd class). The build runs two half-size
-``eigh`` calls and the ``V.T @ V`` orthonormality check as its only O(N^3)
-steps. The self-checks run once per basis and their report is kept: the
-build raises from it and :func:`validate_eigenbasis` returns it. ``V.T @ V``
+Cost: the two half-size class blocks are tridiagonal. Their diagonals and
+sub-diagonals are folded from the 3N band entries of the commuting matrix by
+one orbit map; neither the dense commuting matrix nor a dense block is
+formed. Each block is solved by LAPACK ``dstevd`` from the OpenBLAS that
+numpy links: the divide-and-conquer step of ``eigh`` without the O(N^3)
+reduction to tridiagonal form and back-transform, which change nothing on a
+tridiagonal block, so the vectors are the same. Where numpy links no such
+routine, ``eigh`` solves the dense tridiagonal block instead, to the same
+vectors. The eigenvectors are unfolded by slices: rows 0..r-1 of a class's
+columns are the weighted eigenvectors, signed there, and the mirror rows are
+those rows reversed (negated in the odd class). Besides the merges of the
+divide-and-conquer step, which multiply blocks of class eigenvectors, the
+``V.T @ V`` orthonormality check is the build's one dense O(N^3) product.
+The self-checks run once per basis and their report is kept: the build
+raises from it and :func:`validate_eigenbasis` returns it. ``V.T @ V``
 is freed once its maximum is taken, and the symmetry residual reads only the
 representative rows of the reversal orbits. The commutation and DFT eigen
 residuals take O(N^2 log N): the DFT is generated a block of rows at a time
@@ -32,6 +39,7 @@ threads of its own. Row and column blocks bound the extra memory to about
 512 KB per block on top of ``V`` and one N x N temporary.
 """
 
+import ctypes
 import os
 import stat
 import struct
@@ -273,9 +281,12 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     symmetry class and sorted by descending commuting-matrix eigenvalue
     (ascending zero-crossing count), interleaved so that the exponent
     vector comes out ascending. Signs are fixed so the first
-    largest-magnitude entry of each column is positive. Raises
+    largest-magnitude entry of each column is positive. Each class block is
+    tridiagonal and solved as such (see the module docstring), with no
+    reduction to tridiagonal form. Raises
     :class:`DegenerateBasis` or :class:`EigenMismatch` exactly when the basis
-    fails its self-checks (``validate_eigenbasis(basis).passed``).
+    fails its self-checks (``validate_eigenbasis(basis).passed``), and
+    ``np.linalg.LinAlgError`` if an eigensolve does not converge.
     """
     ell = index_vector(n, variant)
     diag, off = _commuting_band(n, variant)
@@ -288,15 +299,21 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     # (exponent N) for the standard variant with even N and empty otherwise;
     # the odd class is 1:m:2 (its m+1:n is always empty).
     m = n - 1 if ell[-1] == n else n
+    # The folded class blocks are tridiagonal: a band entry lands on a
+    # block's diagonal or next to it, never further out.
+    on_diag, below = orbit[i] == orbit[j], orbit[i] == orbit[j] + 1
     V = np.empty((n, n))
     for sign, parity, live in ((1.0, 0, slice(0, r)), (-1.0, 1, slice(lo, lo + c))):
         # The class basis vector of orbit a is the sum of w[k] * e[k] over
         # orbit[k] == a (w is 0 at the odd class's fixed points); the band
-        # entries S[i, j] = s fold into its block.
+        # entries S[i, j] = s fold into its block's diagonal and sub-diagonal,
+        # summed in the order of the band, as a dense r x r fold sums them.
         w = np.where(paired, np.where(k < r, 1.0, sign) / np.sqrt(2), (1 + sign) / 2)
-        block = np.zeros((r, r))
-        np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
-        U = np.linalg.eigh(block[live, live])[1][:, ::-1]  # descending
+        folded = s * w[i] * w[j]
+        d, e = np.zeros(r), np.zeros(r)
+        np.add.at(d, orbit[i][on_diag], folded[on_diag])
+        np.add.at(e, orbit[j][below], folded[below])
+        U = _tridiagonal_eigenvectors(d[live], e[live][:-1])[:, ::-1]  # descending
         q = len(range(parity, m, 2))
         for cols, part in ((slice(parity, m, 2), U[:, :q]), (slice(m + parity, n), U[:, q:])):
             # Rows 0..r-1 are w * U, and 0 at the odd class's fixed points;
@@ -310,11 +327,59 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
             rep *= _lead_signs(rep)
             np.multiply(rep[lo:lo + c][::-1], sign, out=V[r:, cols])  # the mirror rows
 
-    del block, U, part  # freed before V.T @ V, which would peak on top of them
+    del U, part  # freed before V.T @ V, which would peak on top of them
     V.flags.writeable = False  # kept by the basis without a copy
     basis = EigenBasis(variant, V)
     basis._report.require(f"n={n}, variant={variant}")
     return basis
+
+
+def _find_dstevd():
+    """LAPACK ``dstevd`` of the OpenBLAS that numpy's ``eigh`` calls, with
+    64-bit integers (the ``64_`` suffix of an ILP64 build), or None where
+    numpy links another LAPACK or names it otherwise. A symbol lookup on
+    numpy's linear algebra extension also searches the libraries it links."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dstevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(JOBZ)
+    routine.argtypes = [ctypes.c_char_p, ints, floats, floats, floats, ints,
+                        floats, ints, ints, ints, ints, ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+_dstevd = _find_dstevd()
+
+
+def _tridiagonal_eigenvectors(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvectors, as columns in ascending eigenvalue order, of the
+    symmetric tridiagonal matrix with diagonal ``d`` and sub-diagonal ``e``.
+
+    ``dstevd`` runs the divide-and-conquer step of ``np.linalg.eigh``
+    (``dsyevd``) without its Householder reduction and back-transform, which
+    leave a tridiagonal matrix as it is: both return the same vectors. Where
+    ``dstevd`` is not found, ``eigh`` solves the dense tridiagonal matrix.
+    """
+    n = len(d)
+    if _dstevd is None:
+        T, k = np.diag(d), np.arange(n - 1)
+        T[k + 1, k] = T[k, k + 1] = e
+        return np.linalg.eigh(T)[1]
+    # D and E are overwritten, so they are copies; E needs one entry at N=1.
+    d, e = np.array(d, dtype=float), np.r_[e, 0.0]
+    z = np.empty((n, n))  # read column-major, so its rows are the eigenvectors
+    ints = np.array([n, 1 + 4 * n + n * n, 3 + 5 * n, 0], np.int64)  # N = LDZ, LWORK, LIWORK, INFO
+    work, iwork = np.empty(ints[1]), np.empty(ints[2], np.int64)
+    _dstevd(b"V", ints[0:], d, e, z, ints[0:], work, ints[1:], iwork, ints[2:], ints[3:], 1)
+    if ints[3]:
+        raise np.linalg.LinAlgError(f"dstevd failed with INFO={ints[3]} for a block of {n}")
+    return z.T
 
 
 def _lead_signs(X: np.ndarray) -> np.ndarray:

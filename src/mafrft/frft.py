@@ -55,6 +55,9 @@ def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
     if np.iscomplexobj(a) or not np.isfinite(a):
         raise ValueError(f"order must be a finite real number, got {a!r}")
+    # The period 4, taken exactly: the phase of a raw order of size |a| would
+    # carry a rounding error that grows with |a| * N.
+    a = np.fmod(a, 4)
     return np.exp(-1j * (np.pi / 2) * basis.exponents * a)
 
 

@@ -397,23 +397,34 @@ def test_concurrent_self_checks_equal_serial():
     assert not errors and not mismatches
 
 
-def _gathered_basis(n, variant):
-    """V unfolded from the class eigenvectors by gathering ``U[orbit]`` for
-    every row, then each column's sign fixed over all N rows."""
-    ell = index_vector(n, variant)
+def _dense_class_blocks(n, variant):
+    """The orbit map, and for each class its weights, live slice and block:
+    the class block folded densely, ``np.add.at`` into r x r zeros, and cut
+    to its live rows and columns."""
     diag, off = _commuting_band(n, variant)
     r, c, lo = mirror_layout(n, variant)
     k = np.arange(n)
     orbit = np.where(k < r, k, lo + n - 1 - k)
     paired = (lo <= orbit) & (orbit < lo + c)
     i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
-    V = np.zeros((n, n))
-    for sign, parity, live in ((1.0, 0, slice(0, r)), (-1.0, 1, slice(lo, lo + c))):
+    classes = []
+    for sign, live in ((1.0, slice(0, r)), (-1.0, slice(lo, lo + c))):
         w = np.where(paired, np.where(k < r, 1.0, sign) / np.sqrt(2), (1 + sign) / 2)
         block = np.zeros((r, r))
         np.add.at(block, (orbit[i], orbit[j]), s * w[i] * w[j])
-        U = np.zeros_like(block[:, live])
-        U[live] = np.linalg.eigh(block[live, live])[1][:, ::-1]
+        classes.append((w, live, block[live, live]))
+    return orbit, classes
+
+
+def _gathered_basis(n, variant):
+    """V unfolded from the class eigenvectors by gathering ``U[orbit]`` for
+    every row, then each column's sign fixed over all N rows."""
+    ell = index_vector(n, variant)
+    orbit, classes = _dense_class_blocks(n, variant)
+    V = np.zeros((n, n))
+    for parity, (w, live, block) in enumerate(classes):
+        U = np.zeros((mirror_layout(n, variant)[0], len(block)))
+        U[live] = np.linalg.eigh(block)[1][:, ::-1]
         V[:, ell % 2 == parity] = w[:, None] * U[orbit]
     lead = np.abs(V).argmax(axis=0)
     return V * np.where(V[lead, np.arange(n)] < 0, -1.0, 1.0)
@@ -425,6 +436,51 @@ def test_slice_unfold_equals_orbit_gather(n, variant):
     # byte for byte, so also every signed zero
     V = build_eigenbasis(n, variant).vectors
     assert V.tobytes() == _gathered_basis(n, variant).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_fallback_eigensolver_gives_the_same_basis(monkeypatch, variant):
+    # eigh on the dense tridiagonal block, where numpy has no ILP64 dstevd
+    sizes = [*range(4, 130), 1024, 1025]
+    fast = [build_eigenbasis(n, variant).vectors for n in sizes]
+    monkeypatch.setattr(eigenbasis, "_dstevd", None)
+    for n, V in zip(sizes, fast):
+        assert build_eigenbasis(n, variant).vectors.tobytes() == V.tobytes(), n
+
+
+@pytest.mark.skipif(eigenbasis._dstevd is None, reason="numpy links no ILP64 dstevd")
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_class_blocks_are_tridiagonal_and_solved_as_such(monkeypatch, variant):
+    # byte for byte, so also every signed zero; and no eigh on this path
+    solved, dstevd = [], eigenbasis._dstevd
+
+    def spy(jobz, n, d, e, *rest):
+        solved.append((d.copy(), e[: len(d) - 1].copy()))
+        return dstevd(jobz, n, d, e, *rest)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called with dstevd at hand")
+
+    monkeypatch.setattr(eigenbasis, "_dstevd", spy)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for n in range(4, 257):
+        solved.clear()
+        build_eigenbasis(n, variant)
+        blocks = [T for _, _, T in _dense_class_blocks(n, variant)[1]]
+        assert len(solved) == len(blocks) == 2
+        for T, (d, e) in zip(blocks, solved):
+            assert not np.triu(T, 2).any() and not np.tril(T, -2).any(), n
+            assert np.diagonal(T).tobytes() == d.tobytes(), n
+            assert np.diagonal(T, -1).tobytes() == e.tobytes(), n
+
+
+def test_failed_eigensolve_raises_linalg_error(monkeypatch):
+    def fails(*args):
+        args[10][0] = 1  # INFO
+
+    monkeypatch.setattr(eigenbasis, "_dstevd", fails)
+    with pytest.raises(np.linalg.LinAlgError, match="INFO=1"):
+        build_eigenbasis(16)
 
 
 @settings(max_examples=200, deadline=None)

@@ -38,6 +38,20 @@ def test_periodicity(basis_of):
         assert np.abs(frft_matrix(b, 0.7 + 4 * h) - frft_matrix(b, 0.7)).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [16, 255])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_period_4_holds_at_large_orders(n, variant, basis_of):
+    # every order here is an exact binary number, so 4k + a is a exactly
+    b, x = basis_of(n, variant), random_signal(n, seed=4)
+    tol = 1e-12 * np.linalg.norm(x)
+    for a in (0.5, 1.25, 3.75):
+        y, M = frft_apply(b, a, x), frft_matrix(b, a)
+        for k in (1, 10**6, 10**10, 10**14):
+            assert np.abs(frft_apply(b, 4 * k + a, x) - y).max() < tol, (a, k)
+            assert np.abs(frft_apply(b, a - 4 * k, x) - y).max() < tol, (a, -k)
+        assert np.abs(frft_matrix(b, 4 * 10**14 + a) - M).max() < 1e-12
+
+
 @pytest.mark.parametrize("a", [0.3, 1.7, 3.9])
 def test_apply_preserves_norm(a, basis_of):
     b = basis_of(12, "centered")

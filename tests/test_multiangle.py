@@ -616,6 +616,17 @@ def test_import_starts_no_thread():
     """))
 
 
+def test_import_and_build_load_no_scipy():
+    # the tridiagonal eigensolver comes from numpy's own LAPACK: loading
+    # scipy.linalg would add about 28 MB to every process
+    _run_script(textwrap.dedent("""
+        import sys
+        import mafrft
+        mafrft.build_eigenbasis(64)
+        assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    """))
+
+
 def test_split_call_works_in_a_forked_child(basis_of, tmp_path):
     # the child gets a copy of the parent's pool without its threads
     save_basis(basis_of(1024, "standard"), tmp_path / "basis.bin")
