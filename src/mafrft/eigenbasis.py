@@ -79,9 +79,10 @@ class EigenBasis:
     """Reusable eigendecomposition of a DFT matrix.
 
     ``vectors``: a real, finite N x N orthonormal matrix with N >= 4 whose
-    columns are eigenvectors, or the constructor raises ValueError. ``n`` and
-    ``exponents = index_vector(n, variant)`` are derived: column k has
-    eigenvalue ``(-1j)**exponents[k]`` under the DFT of the variant.
+    columns are eigenvectors, or the constructor raises ValueError. ``n``,
+    ``_layout = mirror_layout(n, variant)`` and ``exponents =
+    index_vector(n, variant)`` are derived: column k has eigenvalue
+    ``(-1j)**exponents[k]`` under the DFT of the variant.
 
     Both arrays are read-only. ``vectors`` is kept as given only if it is
     read-only and owns its data; a view or a writable array is copied. So
@@ -94,6 +95,7 @@ class EigenBasis:
     vectors: np.ndarray
     n: int = field(init=False)
     exponents: np.ndarray = field(init=False)
+    _layout: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         V = np.asarray(self.vectors)
@@ -101,9 +103,11 @@ class EigenBasis:
                 and np.isfinite(V).all()):
             raise ValueError(f"not a real, finite, square matrix: {V.dtype} {V.shape}")
         V = V.astype(float, copy=V.flags.writeable or not V.flags.owndata)
-        ell = index_vector(check_size(len(V), 4), self.variant)
+        layout = mirror_layout(check_size(len(V), 4), self.variant)
+        ell = index_vector(len(V), self.variant)
         V.flags.writeable = ell.flags.writeable = False
-        for name, value in (("vectors", V), ("n", len(V)), ("exponents", ell)):
+        for name, value in (("vectors", V), ("n", len(V)), ("exponents", ell),
+                            ("_layout", layout)):
             object.__setattr__(self, name, value)
 
     @cached_property
@@ -114,7 +118,7 @@ class EigenBasis:
         orth = float(np.abs(G, out=G).max())
         del G
         # A mirror row's residual repeats its representative's exactly.
-        r = mirror_layout(self.n, self.variant)[0]
+        r = self._layout[0]
         mirror, parity = reversal_permutation(self.n, self.variant), (-1.0) ** ell
 
         def symmetry(a, b):
@@ -157,16 +161,16 @@ class ValidationReport:
 
 
 def index_vector(n: int, variant: str = "standard") -> np.ndarray:
-    """Eigenvalue exponents in ascending order.
+    """Eigenvalue exponents in ascending order: ``k``, and N from the ``m``
+    of :func:`~mafrft.foundation.mirror_layout` on.
 
     Centered, and standard with odd N: ``0..N-1``. Standard with even N:
     ``0, 1, ..., N-2, N`` (the exponent N-1 never occurs).
     """
-    n = check_size(n)
-    check_variant(variant)
-    if variant == "standard" and n % 2 == 0:
-        return np.concatenate([np.arange(n - 1), [n]])
-    return np.arange(n)
+    m = mirror_layout(n, variant)[3]
+    ell = np.arange(n)
+    ell[m:] = n
+    return ell
 
 
 def _commuting_band(n: int, variant: str):
@@ -288,17 +292,14 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     fails its self-checks (``validate_eigenbasis(basis).passed``), and
     ``np.linalg.LinAlgError`` if an eigensolve does not converge.
     """
-    ell = index_vector(n, variant)
+    r, c, lo, m = mirror_layout(n, variant)
     diag, off = _commuting_band(n, variant)
-    r, c, lo = mirror_layout(n, variant)
     k = np.arange(n)
     orbit = np.where(k < r, k, lo + n - 1 - k)  # representative of k's orbit
     paired = (lo <= orbit) & (orbit < lo + c)
     i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
-    # Class columns: the even class is 0:m:2 plus m:n, which is column N-1
-    # (exponent N) for the standard variant with even N and empty otherwise;
-    # the odd class is 1:m:2 (its m+1:n is always empty).
-    m = n - 1 if ell[-1] == n else n
+    # Class columns: the even class is 0:m:2 plus m:n, the columns of
+    # exponent N; the odd class is 1:m:2 (its m+1:n is always empty).
     # The folded class blocks are tridiagonal: a band entry lands on a
     # block's diagonal or next to it, never further out.
     on_diag, below = orbit[i] == orbit[j], orbit[i] == orbit[j] + 1

@@ -67,28 +67,30 @@ def dft_matrix(n: int, variant: str = "standard") -> np.ndarray:
 
 
 def reversal_permutation(n: int, variant: str = "standard") -> np.ndarray:
-    """Index permutation of the reversal operator (the DFT squared).
+    """Index permutation of the reversal operator (the DFT squared): the
+    indices from ``lo`` of :func:`mirror_layout` on, reversed.
 
     Centered: ``k -> N-1-k`` (flip about the middle). Standard: ``0 -> 0``
     and ``k -> N-k`` (flip about index 0, wrapping modulo N).
     """
-    n = check_size(n)
-    check_variant(variant)
-    if variant == "centered":
-        return (n - 1) - np.arange(n)
-    return (-np.arange(n)) % n
+    lo = mirror_layout(n, variant)[2]
+    perm = np.arange(n)
+    perm[lo:] = perm[lo:][::-1]
+    return perm
 
 
 def mirror_layout(n: int, variant: str = "standard") -> tuple:
-    """The orbits of :func:`reversal_permutation` as ``(r, c, lo)``: the
+    """The reversal orbits and the exponent layout as ``(r, c, lo, m)``: the
     representatives are the prefix ``0..r-1``; ``lo..lo+c-1`` of them have
     the mirrors ``N-1`` down to ``N-c`` (``c = N - r``) and the other
     ``r - c`` are fixed points. ``r = N//2 + 1`` and ``lo = 1`` for the
-    standard variant, ``r = (N+1)//2`` and ``lo = 0`` for centered."""
+    standard variant, ``r = (N+1)//2`` and ``lo = 0`` for centered. Columns
+    ``m..N-1`` have exponent N: ``m = N-1`` for the standard variant with
+    even N, which folds Z, else ``m = N``. The one rule of both."""
     n = check_size(n)
     standard = check_variant(variant) == "standard"
     r = n // 2 + 1 if standard else (n + 1) // 2
-    return r, n - r, int(standard)
+    return r, n - r, int(standard), n - 1 if standard and n % 2 == 0 else n
 
 
 def fft_rows_unnormalized(z: np.ndarray) -> np.ndarray:

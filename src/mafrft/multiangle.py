@@ -32,7 +32,7 @@ import numpy as np
 from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import _split_rows, mirror_layout
+from .foundation import _split_rows
 from .frft import _check_signal, _real_matvec, frft_apply
 
 
@@ -74,15 +74,13 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     runs over one representative of every mirrored index pair. Uses about
     half the multiplies of :func:`change_of_basis`.
 
-    Runs on slices of V: the even class (r columns) is ``V[:r, 0:m:2]`` and
-    the odd class (c columns) ``V[lo:lo+c, 1:m:2]``, with ``m = N``; for the
-    standard variant with even N, ``m = N-1`` and column N-1 (exponent N) is
-    one more dot product with the even part.
+    Runs on slices of V, in the basis's ``mirror_layout`` ``(r, c, lo, m)``:
+    the even class (r columns) is ``V[:r, 0:m:2]`` plus the columns ``m:``
+    of exponent N, and the odd class (c columns) ``V[lo:lo+c, 1:m:2]``.
     """
     x = _check_signal(basis, x)
     n, V = basis.n, basis.vectors
-    r, c, lo = mirror_layout(n, basis.variant)
-    m = n - _folds(basis)
+    r, c, lo, m = basis._layout
     mirrored = np.concatenate((x[:lo], x[n - r + lo:][::-1]))  # x at mirrors
     xe = x[:r] + mirrored
     xe[:lo] *= 0.5                    # fixed points are their own mirror
@@ -91,21 +89,15 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     y = np.empty(n, dtype=complex)
     y[0:m:2] = _real_matvec(V[:r, 0:m:2].T, xe)
     y[1:m:2] = _real_matvec(V[lo:lo + c, 1:m:2].T, xo)
-    if m < n:
-        y[m] = V[:r, m] @ xe
+    y[m:] = V[:r, m:].T @ xe
     counters.multiplies += r * r + c * c + r - c
     return y
 
 
-def _folds(basis: EigenBasis) -> bool:
-    """Whether Z needs the correction: standard variant with even N."""
-    return basis.variant == "standard" and basis.n % 2 == 0
-
-
-def _fold(Z: np.ndarray, n: int) -> None:
-    """The correction, in place: column N-1 folded into column 0, zeroed."""
-    Z[:, 0] += Z[:, n - 1]
-    Z[:, n - 1] = 0.0
+def _fold(Z: np.ndarray, m: int) -> None:
+    """The correction, in place: column m (exponent N) folded into column 0 and zeroed."""
+    Z[:, 0] += Z[:, m]
+    Z[:, m] = 0.0
 
 
 def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
@@ -116,10 +108,10 @@ def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     multiangle result directly.
     """
     Z = basis.vectors * change_of_basis_fast(basis, x)[None, :]
-    Zhat = None
-    if _folds(basis):
+    Zhat, m = None, basis._layout[3]
+    if m < basis.n:
         Zhat = Z.copy()
-        _fold(Zhat, basis.n)
+        _fold(Zhat, m)
     return ZMatrix(Z=Z, Zhat=Zhat)
 
 
@@ -138,19 +130,20 @@ def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:
     counts.
     """
     n, V = basis.n, basis.vectors
-    rows, c, lo = mirror_layout(n, basis.variant) if half else (n, 0, 0)
+    r, c, lo, m = basis._layout
+    rows, c = (r, c) if half else (n, 0)  # full: every row transformed, none copied
     pad = half and n % 2 == 1
     R = n + pad
     X = np.empty((n, R), dtype=complex)
-    folds, h = _folds(basis), R // 2
+    h = R // 2
 
     def work(a, b):
         Z = X[a:b]
         np.multiply(V[a:b], y, out=Z[:, :n])
         if pad:
             Z[:, n] = 0.0
-        if folds:
-            _fold(Z, n)
+        if m < n:
+            _fold(Z, m)
         np.fft.fft(Z, axis=1, out=Z)
         s, t = max(a, lo), min(b, lo + c)  # sources here; row lo+k -> N-1-k
         if s < t:

@@ -444,7 +444,7 @@ def test_mirror_pairing_matches_permutation(basis_of):
             assert np.array_equal(perm[perm], np.arange(n))
             rows = np.arange(n)
             reps = rows[rows <= perm]
-            r, c, lo = mirror_layout(n, variant)
+            r, c, lo, _ = mirror_layout(n, variant)
             assert np.array_equal(reps, np.arange(r))
             copied = perm[reps] != reps
             sources, mirrors = reps[copied], perm[reps[copied]]
@@ -471,7 +471,7 @@ def _staged(b, x, half):
         return fft_rows_unnormalized(Z)
     if n % 2:
         Z = np.hstack([Z, np.zeros((n, 1), dtype=complex)])
-    r, c, lo = mirror_layout(n, b.variant)
+    r, c, lo, _ = mirror_layout(n, b.variant)
     X = np.empty(Z.shape, dtype=complex)
     X[:r] = fft_rows_unnormalized(Z[:r])
     X[n - c:][::-1] = np.roll(X[lo:lo + c], Z.shape[1] // 2, axis=1)
@@ -536,7 +536,7 @@ def _call(b, x, half):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_split_paths_equal_staged_with_exact_counts(n, variant, basis_of, submitted):
     b, x = basis_of(n, variant), random_signal(n, seed=n)
-    r, _, _ = mirror_layout(n, variant)
+    r = mirror_layout(n, variant)[0]
     f = 1 if n % 2 else (2 if variant == "standard" else 0)  # fixed points
     e, o = (n + f) // 2, (n - f) // 2
     for half in (False, True):
@@ -547,6 +547,27 @@ def test_split_paths_equal_staged_with_exact_counts(n, variant, basis_of, submit
         assert counters.multiplies == e * e + o * o + f
         assert submitted, "the rows were not split"
         assert np.array_equal(X, _staged(b, x, half))
+
+
+@pytest.mark.parametrize("n", [16, 17] + SPLIT_SIZES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fft_count_is_the_rows_transformed(n, variant, basis_of, monkeypatch):
+    # Counted from the work, not declared: the rows of every numpy.fft.fft
+    # call, on any thread (list.append is atomic). The basis is built first,
+    # as its self-checks run column FFTs.
+    b, x = basis_of(n, variant), random_signal(n, seed=n)
+    rows, fft = [], np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        rows.append(len(a) if np.ndim(a) == 2 else 1)
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    for half in (False, True):
+        rows.clear()
+        counters.reset()
+        _call(b, x, half)
+        assert sum(rows) == counters.fft_calls == (mirror_layout(n, variant)[0] if half else n)
 
 
 @pytest.mark.parametrize("n", SPLIT_SIZES)
