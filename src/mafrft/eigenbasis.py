@@ -23,20 +23,17 @@ tridiagonal block, so the vectors are the same. Where numpy links no such
 routine, ``eigh`` solves the dense tridiagonal block instead, to the same
 vectors. The eigenvectors are unfolded by slices: rows 0..r-1 of a class's
 columns are the weighted eigenvectors, signed there, and the mirror rows are
-those rows reversed (negated in the odd class). Besides the merges of the
-divide-and-conquer step, which multiply blocks of class eigenvectors, the
-``V.T @ V`` orthonormality check is the build's one dense O(N^3) product.
-The self-checks run once per basis and their report is kept: the build
-raises from it and :func:`validate_eigenbasis` returns it. ``V.T @ V``
-is freed once its maximum is taken, and the symmetry residual reads only the
-representative rows of the reversal orbits. The commutation and DFT eigen
+those rows reversed (negated in the odd class).
+
+A basis that exists has passed its self-checks: the :class:`EigenBasis`
+constructor runs them once, for built, loaded and hand-made bases alike.
+Each residual is a maximum over blocks, one after another on the calling
+thread, with no N x N temporary. Orthonormality, over column blocks of
+``V.T @ V - I``, is the one O(N^3) check. The commutation and DFT eigen
 residuals take O(N^2 log N): the DFT is generated a block of rows at a time
 from a twiddle table, or applied as column FFTs. The commutation residual is
 exactly antisymmetric, so a block of rows is checked only against the
-columns from its first row on: half the matrix. The three blocked checks
-run their blocks one after another on the calling thread; the build uses no
-threads of its own. Row and column blocks bound the extra memory to about
-512 KB per block on top of ``V`` and one N x N temporary.
+columns from its first row on: half the matrix.
 """
 
 import ctypes
@@ -44,7 +41,6 @@ import os
 import stat
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,16 +57,13 @@ _BLOCK_ELEMENTS = 1 << 15
 
 def _block(n: int) -> int:
     """Rows (or columns) of length ``n`` per block of the residual kernels:
-    a complex block of about 512 KB bounds their working memory to a few
-    such blocks on top of ``V``, whatever N is."""
+    a complex block of about 512 KB, whatever N is."""
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _worst(kernel, count: int, n: int) -> float:
-    """The largest ``kernel(a, b)`` over blocks of ``_block(n)`` of the rows
-    (or columns) ``0..count-1`` of length ``n``, one block after another on
-    the calling thread."""
-    step = _block(n)
+def _worst(kernel, count: int, step: int) -> float:
+    """The largest ``kernel(a, b)`` over blocks of ``step`` of the rows (or
+    columns) ``0..count-1``, one block after another on the calling thread."""
     return max(kernel(a, min(a + step, count)) for a in range(0, count, step))
 
 
@@ -78,17 +71,16 @@ def _worst(kernel, count: int, n: int) -> float:
 class EigenBasis:
     """Reusable eigendecomposition of a DFT matrix.
 
-    ``vectors``: a real, finite N x N orthonormal matrix with N >= 4 whose
-    columns are eigenvectors, or the constructor raises ValueError. ``n``,
-    ``_layout = mirror_layout(n, variant)`` and ``exponents =
-    index_vector(n, variant)`` are derived: column k has eigenvalue
-    ``(-1j)**exponents[k]`` under the DFT of the variant.
+    ``vectors``: a real, finite N x N matrix with N >= 4, or the constructor
+    raises ValueError. ``n``, ``_layout = mirror_layout(n, variant)`` and
+    ``exponents = index_vector(n, variant)`` are derived: column k has
+    eigenvalue ``(-1j)**exponents[k]`` under the DFT of the variant. The
+    constructor runs :func:`_self_check` once, keeps the report, and raises
+    :class:`DegenerateBasis` or :class:`EigenMismatch` by ``_BOUNDS``.
 
     Both arrays are read-only. ``vectors`` is kept as given only if it is
-    read-only and owns its data; a view or a writable array is copied. So
-    the self-check report that :func:`validate_eigenbasis` returns is
-    computed once, on first use, and cannot go stale. Bases compare and hash
-    by identity, so one can key a dict.
+    read-only and owns its data; a view or a writable array is copied, so the
+    report cannot go stale. Bases compare and hash by identity.
     """
 
     variant: str
@@ -96,6 +88,7 @@ class EigenBasis:
     n: int = field(init=False)
     exponents: np.ndarray = field(init=False)
     _layout: tuple = field(init=False, repr=False)
+    _report: "ValidationReport" = field(init=False, repr=False)
 
     def __post_init__(self):
         V = np.asarray(self.vectors)
@@ -103,32 +96,12 @@ class EigenBasis:
                 and np.isfinite(V).all()):
             raise ValueError(f"not a real, finite, square matrix: {V.dtype} {V.shape}")
         V = V.astype(float, copy=V.flags.writeable or not V.flags.owndata)
-        layout = mirror_layout(check_size(len(V), 4), self.variant)
-        ell = index_vector(len(V), self.variant)
+        n, layout = len(V), mirror_layout(check_size(len(V), 4), self.variant)
+        ell = index_vector(n, self.variant)
         V.flags.writeable = ell.flags.writeable = False
-        for name, value in (("vectors", V), ("n", len(V)), ("exponents", ell),
-                            ("_layout", layout)):
-            object.__setattr__(self, name, value)
-
-    @cached_property
-    def _report(self) -> "ValidationReport":
-        V, ell = self.vectors, self.exponents
-        G = V.T @ V
-        G[np.diag_indices_from(G)] -= 1.0
-        orth = float(np.abs(G, out=G).max())
-        del G
-        # A mirror row's residual repeats its representative's exactly.
-        r = self._layout[0]
-        mirror, parity = reversal_permutation(self.n, self.variant), (-1.0) ** ell
-
-        def symmetry(a, b):
-            return float(np.abs(V[mirror[a:b]] - V[a:b] * parity).max())
-
-        return ValidationReport(
-            orthonormality_residual=orth,
-            eigen_residual=_eigen_residual(V, ell, self.variant),
-            symmetry_residual=_worst(symmetry, r, self.n),
-        )
+        report = _self_check(V, self.variant)
+        report.require(f"n={n}, variant={self.variant}")
+        self.__dict__.update(vectors=V, n=n, exponents=ell, _layout=layout, _report=report)
 
 
 _BOUNDS = (
@@ -158,6 +131,38 @@ class ValidationReport:
         for name, bound, error in _BOUNDS:
             if not getattr(self, name) < bound:  # NaN fails too
                 raise error(f"{name} {getattr(self, name):g} for {what}")
+
+
+def _self_check(V: np.ndarray, variant: str) -> ValidationReport:
+    """The :class:`ValidationReport` of a real N x N ``V`` whose column k
+    should have exponent ``index_vector(n, variant)[k]``. A mirror row's
+    symmetry residual repeats its representative's, so only those are read."""
+    n, ell = len(V), index_vector(len(V), variant)
+    mirror, parity = reversal_permutation(n, variant), (-1.0) ** ell
+
+    def symmetry(a, b):
+        return float(np.abs(V[mirror[a:b]] - V[a:b] * parity).max())
+
+    return ValidationReport(
+        orthonormality_residual=_orthonormality_residual(V),
+        eigen_residual=_eigen_residual(V, ell, variant),
+        symmetry_residual=_worst(symmetry, mirror_layout(n, variant)[0], _block(n)),
+    )
+
+
+def _orthonormality_residual(V: np.ndarray) -> float:
+    """``max|V.T V - I|`` over blocks of ``max(64, N // 8)`` columns of the
+    upper triangle, a width set by N alone, each formed in one buffer: blocks
+    of growing size allocated one by one grew the heap by 12 MiB at N=2048."""
+    n, step = len(V), max(64, len(V) // 8)
+    out = np.empty(n * step)
+
+    def columns(a, b):
+        G = np.matmul(V[:, :b].T, V[:, a:b], out=out[: b * (b - a)].reshape(b, b - a))
+        G[np.arange(a, b), np.arange(b - a)] -= 1.0
+        return float(np.abs(G, out=G).max())
+
+    return _worst(columns, n, step)
 
 
 def index_vector(n: int, variant: str = "standard") -> np.ndarray:
@@ -234,7 +239,7 @@ def _commutation_residual(diag, off, variant: str) -> float:
         D -= WS
         return float(np.abs(D.view(complex)).max())
 
-    return _worst(rows, n, n)
+    return _worst(rows, n, _block(n))
 
 
 def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float:
@@ -248,7 +253,9 @@ def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float
     m = -u[0]  # u = 2k - m
     pre = table[(-2 * m * np.arange(n)) % (4 * n)][:, None]
     post = table[(m * m - 2 * m * np.arange(n)) % (4 * n)][:, None] / np.sqrt(n)
-    lam = np.array([1, -1j, -1, 1j])[exponents % 4]
+    # |WV - v (-1j)**ell| is |1j**ell WV - v| bit for bit: a unit of {1, 1j,
+    # -1, -1j} swaps and negates parts, and v is then subtracted in place.
+    unit = np.array([1, 1j, -1, -1j])[exponents % 4]
 
     def columns(c0, c1):
         v = V[:, c0:c1]
@@ -259,10 +266,11 @@ def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float
         else:  # standard: pre is 1 and post 1/sqrt(N), so it is one orthonormal FFT
             WV = v.astype(complex)
             np.fft.fft(WV, axis=0, out=WV, norm="ortho")
-        WV -= v * lam[c0:c1]
+        WV *= unit[c0:c1]
+        np.subtract(WV.real, v, out=WV.real)
         return float(np.abs(WV).max())
 
-    return _worst(columns, n, n)
+    return _worst(columns, n, _block(n))
 
 
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
@@ -287,10 +295,9 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     vector comes out ascending. Signs are fixed so the first
     largest-magnitude entry of each column is positive. Each class block is
     tridiagonal and solved as such (see the module docstring), with no
-    reduction to tridiagonal form. Raises
-    :class:`DegenerateBasis` or :class:`EigenMismatch` exactly when the basis
-    fails its self-checks (``validate_eigenbasis(basis).passed``), and
-    ``np.linalg.LinAlgError`` if an eigensolve does not converge.
+    reduction to tridiagonal form. The :class:`EigenBasis` constructor
+    self-checks the result; ``np.linalg.LinAlgError`` if an eigensolve does
+    not converge.
     """
     r, c, lo, m = mirror_layout(n, variant)
     diag, off = _commuting_band(n, variant)
@@ -328,11 +335,8 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
             rep *= _lead_signs(rep)
             np.multiply(rep[lo:lo + c][::-1], sign, out=V[r:, cols])  # the mirror rows
 
-    del U, part  # freed before V.T @ V, which would peak on top of them
     V.flags.writeable = False  # kept by the basis without a copy
-    basis = EigenBasis(variant, V)
-    basis._report.require(f"n={n}, variant={variant}")
-    return basis
+    return EigenBasis(variant, V)
 
 
 def _find_dstevd():
@@ -397,8 +401,7 @@ def _lead_signs(X: np.ndarray) -> np.ndarray:
 
 
 def validate_eigenbasis(basis: EigenBasis) -> ValidationReport:
-    """The basis's :class:`ValidationReport`, computed once per basis: a
-    built basis already holds it, as the build raises from the same report."""
+    """The :class:`ValidationReport` that the basis passed on construction."""
     return basis._report
 
 
@@ -425,15 +428,11 @@ def load_basis(path) -> EigenBasis:
 
     Raises ValueError for a bad magic, a truncated header, an unknown
     variant byte, n < 4, a file length that does not match n, or exponents
-    other than :func:`index_vector`; the :class:`EigenBasis` constructor
-    raises it for a NaN or infinite entry of V. The header is checked against
-    the file length before V is allocated, and V is read straight into the
-    array the basis keeps, so loading peaks at about V.
-
-    The loaded basis is not self-checked: a finite but wrong entry of V
-    loads without error and gives wrong transforms.
-    ``validate_eigenbasis(basis).require(path)`` checks it and raises
-    DegenerateBasis or EigenMismatch as the build does.
+    other than :func:`index_vector`. The :class:`EigenBasis` constructor
+    raises ValueError for a NaN or infinite entry of V, and DegenerateBasis
+    or EigenMismatch for a V that fails its self-checks. The header is
+    checked against the file length before V is allocated, and V is read
+    straight into the array the basis keeps.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)

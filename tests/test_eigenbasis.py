@@ -28,7 +28,7 @@ from mafrft import (
 from mafrft import eigenbasis, foundation
 from mafrft.eigenbasis import (
     _BOUNDS, ValidationReport, _commutation_residual, _commuting_band,
-    _eigen_residual, _lead_signs, index_vector,
+    _eigen_residual, _lead_signs, _self_check, index_vector,
 )
 from mafrft.foundation import _twiddles, mirror_layout
 from tests.conftest import cached_basis, expected_multiplicities, multiplicities
@@ -278,6 +278,23 @@ def test_cache_rejects_corrupt_file(tmp_path, corrupt):
         load_basis(path)
 
 
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_load_self_checks_the_basis(tmp_path, variant):
+    # A finite but wrong V no longer loads: one entry raised by 0.25
+    # (orthonormality residual 0.106 standard, 0.296 centered) moved the
+    # ma_frft_full output by 0.21 when loading did not check, and columns 3
+    # and 4 swapped leave their eigenspaces.
+    path, data = _cache_bytes(tmp_path, 16, variant)
+    V = cached_basis(16, variant).vectors
+    raised = V.copy()
+    raised[5, 2] += 0.25
+    for W, error in ((raised, DegenerateBasis),
+                     (V[:, [0, 1, 2, 4, 3, *range(5, 16)]], EigenMismatch)):
+        path.write_bytes(data[:12] + W.astype("<f8").tobytes() + data[12 + 8 * W.size:])
+        with pytest.raises(error, match=f" for n=16, variant={variant}$"):
+            load_basis(path)
+
+
 # --- residual kernels -----------------------------------------------------------
 
 
@@ -318,6 +335,22 @@ def test_flipped_corner_fails_commutation(n, variant, monkeypatch):
     # also with one row per block, each row against the columns from its own on
     monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", n)
     assert _commutation_residual(diag, off, variant) > 1e-8
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [16, 130, 600])
+def test_blocked_orthonormality_equals_dense(n, variant):
+    # One block of 64 columns, ragged blocks of 64, 64 and 2, and eight
+    # blocks of N // 8 = 75 give the dense max|V.T V - I|, on a built basis
+    # and on two perturbed ones whose largest entry lies in the last block
+    # and in the first. numpy computes the dense V.T @ V by SYRK and most
+    # blocks by GEMM, which may round an entry apart: by 3.4e-17 at N=600
+    # on one BLAS thread (on two they agreed at every N tried).
+    V = cached_basis(n, variant).vectors
+    noise = 1e-9 * np.random.default_rng(n).standard_normal((n, n))
+    for W in (V, V + noise * np.arange(1, n + 1), V + noise * np.arange(n, 0, -1)):
+        dense = np.abs(W.T @ W - np.eye(n)).max()
+        assert abs(_self_check(W, variant).orthonormality_residual - dense) < 4e-16
 
 
 # --- bit-exact references for the blocked and unfolded kernels ---------------------
@@ -519,9 +552,11 @@ def test_validate_rejects_swapped_columns(variant):
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V[:, [3, 4]] = V[:, [4, 3]]
-    report = validate_eigenbasis(EigenBasis(variant, V))
+    report = _self_check(V, variant)
     assert report.eigen_residual > 1e-8
     assert not report.passed
+    with pytest.raises(EigenMismatch, match="^eigen_residual .* for n=16"):
+        EigenBasis(variant, V)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the self-checks do not "
@@ -532,10 +567,11 @@ def test_validate_rejects_swapped_same_eigenvalue_columns(n, variant):
     # Columns 0 and 4 both have eigenvalue 1, so each stays in its assigned
     # eigenspace and every residual stays at rounding (<= 2.0e-15), while the
     # largest entry change of ma_frft_full reached 0.46-0.65 ||x|| over 20
-    # random signals.
+    # random signals. The module check is read, as a constructor that raised
+    # would fail this test whether or not the check caught the swap.
     V = cached_basis(n, variant).vectors.copy()
     V[:, [0, 4]] = V[:, [4, 0]]
-    assert not validate_eigenbasis(EigenBasis(variant, V)).passed
+    assert not _self_check(V, variant).passed
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -581,15 +617,23 @@ def test_view_taken_before_construction_cannot_change_the_basis(variant):
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
-def test_basis_keeps_only_read_only_owned_arrays(tmp_path, variant):
+def test_basis_keeps_only_read_only_owned_arrays(tmp_path, monkeypatch, variant):
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V.flags.writeable = False
     assert EigenBasis(variant, V).vectors is V
     assert not np.shares_memory(EigenBasis(variant, V[:]).vectors, V)
+    # a single-precision V is cast to float64 before it is checked, and it
+    # is not orthonormal to double precision
     single = b.vectors.astype(np.float32)
     single.flags.writeable = False
-    assert EigenBasis(variant, single).vectors.dtype == np.float64
+    checked = []
+    monkeypatch.setattr(eigenbasis, "_self_check",
+                        lambda V, variant: checked.append(V) or _self_check(V, variant))
+    with pytest.raises(DegenerateBasis):
+        EigenBasis(variant, single)
+    assert [W.dtype for W in checked] == [np.float64]
+    assert _self_check(checked[0], variant).orthonormality_residual > 1e-10
     save_basis(b, tmp_path / "basis.bin")
     assert load_basis(tmp_path / "basis.bin").vectors.flags.owndata
 
@@ -654,13 +698,20 @@ def test_build_and_validate_share_one_self_check(monkeypatch, variant):
 )
 def test_symmetry_residual_matches_full_permutation(n, variant, scale, seed):
     # The report reads only the representative rows; the reference is the
-    # residual over every row.
+    # residual over every row. The constructor keeps a passing report and
+    # raises the error of the first failing row of any other.
     b = cached_basis(n, variant)
     V = b.vectors + scale * np.random.default_rng(seed).standard_normal((n, n))
-    basis = b if scale == 0.0 else EigenBasis(variant, V)
     perm = reversal_permutation(n, variant)
     full = float(np.abs(V[perm] - V * (-1.0) ** b.exponents).max())
-    assert validate_eigenbasis(basis).symmetry_residual == full
+    report = _self_check(V, variant)
+    assert report.symmetry_residual == full
+    failing = [error for name, bound, error in _BOUNDS if not getattr(report, name) < bound]
+    if failing:
+        with pytest.raises(failing[0]):
+            EigenBasis(variant, V)
+    else:
+        assert validate_eigenbasis(EigenBasis(variant, V)) == report
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -668,9 +719,11 @@ def test_validate_rejects_perturbed_entry(variant):
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V[5, 2] += 1e-6
-    report = validate_eigenbasis(EigenBasis(variant, V))
+    report = _self_check(V, variant)
     assert report.orthonormality_residual > 1e-10
     assert not report.passed
+    with pytest.raises(DegenerateBasis, match="^orthonormality_residual .* for n=16"):
+        EigenBasis(variant, V)
 
 
 def test_build_raises_for_a_broken_symmetry(monkeypatch):
@@ -775,7 +828,7 @@ def test_large_build_validates(n, variant):
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_large_build_memory(variant):
     # Folding S from its band keeps the build's peak below 4 N x N float64
-    # arrays: V, V.T @ V and half-size temporaries.
+    # arrays: V, half-size temporaries and the blocked self-checks.
     n = 1024
     tracemalloc.start()
     try:
@@ -784,24 +837,6 @@ def test_large_build_memory(variant):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 8 * n * n, peak / (8 * n * n)
-
-
-@pytest.mark.parametrize("variant", ["standard", "centered"])
-def test_loaded_validate_memory(tmp_path, variant):
-    # A loaded basis has no report yet. V.T @ V is freed before the symmetry
-    # residual, which reads only the representative rows, so validating
-    # stays below 1.5 N x N float64 arrays on top of V.
-    n = 1024
-    path = tmp_path / "basis.bin"
-    save_basis(build_eigenbasis(n, variant), path)
-    loaded = load_basis(path)
-    tracemalloc.start()
-    try:
-        assert validate_eigenbasis(loaded).passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -821,18 +856,21 @@ def test_save_memory(tmp_path, variant):
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_load_memory(tmp_path, variant):
     # V is read straight into the array the basis keeps, with no second copy
-    # of it in the file's bytes.
-    n = 512
+    # of it in the file's bytes, and self-checked in blocks with no N x N
+    # temporary: loading and checking stay below 1.5 N x N float64 arrays.
     path = tmp_path / "basis.bin"
-    save_basis(cached_basis(n, variant), path)
-    tracemalloc.start()
-    try:
-        loaded = load_basis(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded.vectors, cached_basis(n, variant).vectors)
-    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+    for n in (512, 1024):
+        built = build_eigenbasis(n, variant)
+        save_basis(built, path)
+        tracemalloc.start()
+        try:
+            loaded = load_basis(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.vectors, built.vectors)
+        assert validate_eigenbasis(loaded) == validate_eigenbasis(built)
+        assert peak < 1.5 * 8 * n * n, (n, peak / (8 * n * n))
 
 
 def test_load_checks_length_before_allocating(tmp_path):
