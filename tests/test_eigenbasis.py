@@ -854,23 +854,41 @@ def test_save_memory(tmp_path, variant):
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_loaded_validate_memory(tmp_path, variant):
+    # A loaded basis is self-checked in blocks with no N x N temporary, and
+    # validating it returns the kept report: loading, checking and
+    # validating stay below 1.5 N x N float64 arrays, V included.
+    n = 1024
+    path = tmp_path / "basis.bin"
+    built = build_eigenbasis(n, variant)
+    save_basis(built, path)
+    tracemalloc.start()
+    try:
+        loaded = load_basis(path)
+        assert validate_eigenbasis(loaded).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate_eigenbasis(loaded) == validate_eigenbasis(built)
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
 def test_load_memory(tmp_path, variant):
     # V is read straight into the array the basis keeps, with no second copy
     # of it in the file's bytes, and self-checked in blocks with no N x N
     # temporary: loading and checking stay below 1.5 N x N float64 arrays.
+    n = 512
     path = tmp_path / "basis.bin"
-    for n in (512, 1024):
-        built = build_eigenbasis(n, variant)
-        save_basis(built, path)
-        tracemalloc.start()
-        try:
-            loaded = load_basis(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(loaded.vectors, built.vectors)
-        assert validate_eigenbasis(loaded) == validate_eigenbasis(built)
-        assert peak < 1.5 * 8 * n * n, (n, peak / (8 * n * n))
+    save_basis(cached_basis(n, variant), path)
+    tracemalloc.start()
+    try:
+        loaded = load_basis(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.vectors, cached_basis(n, variant).vectors)
+    assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_load_checks_length_before_allocating(tmp_path):
