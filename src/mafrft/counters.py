@@ -1,9 +1,9 @@
 """Operation counters for verifying FFT-count and multiply-count claims.
 
 The counters are plain module state: reset them, run the code path under
-test, then read them back. They track semantic work (one count per row
-transform, one count per scalar multiply of a matrix-vector product),
-independent of how the numpy kernels vectorize it.
+test, then read them back. Each is counted where its work runs: one FFT
+per row at the call that transforms it, one multiply per matrix entry of
+every product ``frft._real_matvec`` runs, and one per fixed-point halving.
 """
 
 from dataclasses import dataclass

@@ -12,6 +12,7 @@ multiangle module is checked against.
 
 import numpy as np
 
+from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import LengthMismatch, NonFiniteSignal
 
@@ -34,14 +35,16 @@ _GEMM_BLOCK = 2**18
 
 
 def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``A @ z`` for a real matrix and a complex vector, as a real product
-    with the real and imaginary parts of ``z`` side by side: numpy would
-    otherwise cast all of ``A`` to complex on every call.
+    """``A @ z`` for a real matrix and a complex vector, counted as
+    ``A.size`` multiplies and run as a real product with the real and
+    imaginary parts of ``z`` side by side: numpy would otherwise cast all
+    of ``A`` to complex on every call.
 
     Up to ``_GEMM_BLOCK`` multiply-adds this is one product; above, it runs
     in row blocks of at most that size on the calling thread, written into
     one result. ``np.matmul`` holds the interpreter lock for each block, so
     splitting the blocks over threads would only make them take turns."""
+    counters.multiplies += A.size
     z = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
     step = max(1, _GEMM_BLOCK // (2 * A.shape[1] or 1))
     if A.shape[0] <= step:

@@ -56,14 +56,12 @@ class MultiangleResult:
 @dataclass(frozen=True, eq=False)
 class ZMatrix:
     Z: np.ndarray
-    Zhat: Optional[np.ndarray] = None
+    Zhat: Optional[np.ndarray] = None  # always None; perfbench still reads it
 
 
 def change_of_basis(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     """Direct product V^T x, O(N^2) multiplies."""
-    x = _check_signal(basis, x)
-    counters.multiplies += basis.n * basis.n
-    return _real_matvec(basis.vectors.T, x)
+    return _real_matvec(basis.vectors.T, _check_signal(basis, x))
 
 
 def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
@@ -85,12 +83,13 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     xe = x[:r] + mirrored
     xe[:lo] *= 0.5                    # fixed points are their own mirror
     xe[lo + c:] *= 0.5
+    counters.multiplies += r - c      # one halving per fixed point
     xo = x[lo:lo + c] - mirrored[lo:lo + c]  # fixed points have no odd part
     y = np.empty(n, dtype=complex)
     y[0:m:2] = _real_matvec(V[:r, 0:m:2].T, xe)
     y[1:m:2] = _real_matvec(V[lo:lo + c, 1:m:2].T, xo)
-    y[m:] = V[:r, m:].T @ xe
-    counters.multiplies += r * r + c * c + r - c
+    if m < n:
+        y[m:] = _real_matvec(V[:r, m:].T, xe)
     return y
 
 
@@ -101,18 +100,16 @@ def _fold(Z: np.ndarray, m: int) -> None:
 
 
 def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
-    """Weighted eigenvector matrix Z[n,k] = V[n,k] * (V^T x)[k].
-
-    For the standard variant with even N also carries the corrected matrix
-    (column N-1 folded into column 0 and zeroed), whose row FFTs give the
-    multiangle result directly.
+    """The one corrected matrix ``ZMatrix.Z`` whose row FFTs give the
+    multiangle result: Z[n,k] = V[n,k] * (V^T x)[k], with column N-1 folded
+    into column 0 and zeroed in place for the standard variant with even N.
+    ``Zhat`` is always None.
     """
-    Z = basis.vectors * change_of_basis_fast(basis, x)[None, :]
-    Zhat, m = None, basis._layout[3]
+    Z = basis.vectors * change_of_basis_fast(basis, x)
+    m = basis._layout[3]
     if m < basis.n:
-        Zhat = Z.copy()
-        _fold(Zhat, m)
-    return ZMatrix(Z=Z, Zhat=Zhat)
+        _fold(Z, m)
+    return ZMatrix(Z)
 
 
 def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,7 @@ def test_fast_change_of_basis_symmetric_input(basis_of):
 
 
 def test_fast_change_of_basis_multiply_count(basis_of):
+    # counted from the products that run, by the product helper
     b = basis_of(64, "standard")
     x = random_signal(64, seed=64)
     counters.reset()
@@ -89,9 +91,17 @@ def test_fast_change_of_basis_multiply_count(basis_of):
     counters.reset()
     change_of_basis_fast(b, x)
     fast = counters.multiplies
+    counters.reset()
+    frft_apply(b, 0.5, x)
+    single = counters.multiplies
+    counters.reset()
+    ma_frft_naive(b, x)
+    naive = counters.multiplies
     assert direct == 64 * 64
     # even class 33 x 33, odd class 31 x 31, one halving per fixed point (0, 32)
     assert fast == 33 * 33 + 31 * 31 + 2
+    assert single == 2 * 64 * 64  # V^T x, then V times the weighted coefficients
+    assert naive == 64 * single  # one frft_apply per grid order
 
 
 @settings(max_examples=60, deadline=None)
@@ -139,11 +149,14 @@ def test_loaded_and_hand_made_bases_give_identical_results(n, variant, basis_of,
 
 
 def test_zhat_structure_standard_even(basis_of):
-    b = basis_of(8, "standard")
-    zm = z_matrix(b, random_signal(8, seed=3))
-    assert np.array_equal(zm.Zhat[:, 7], np.zeros(8))
-    assert np.abs(zm.Zhat[:, 0] - (zm.Z[:, 0] + zm.Z[:, 7])).max() == 0.0
-    assert np.abs(zm.Zhat[:, 1:7] - zm.Z[:, 1:7]).max() == 0.0
+    # one matrix, folded in place: column 7 (exponent N) into column 0
+    b, x = basis_of(8, "standard"), random_signal(8, seed=3)
+    zm = z_matrix(b, x)
+    weighted = b.vectors * change_of_basis_fast(b, x)
+    assert zm.Zhat is None
+    assert np.array_equal(zm.Z[:, 7], np.zeros(8))
+    assert np.abs(zm.Z[:, 0] - (weighted[:, 0] + weighted[:, 7])).max() == 0.0
+    assert np.abs(zm.Z[:, 1:7] - weighted[:, 1:7]).max() == 0.0
 
 
 def test_z_rows_mirror_centered(basis_of):
@@ -156,10 +169,25 @@ def test_z_rows_mirror_centered(basis_of):
 
 def test_zhat_rows_mirror_standard_even(basis_of):
     b = basis_of(8, "standard")
-    Zh = z_matrix(b, random_signal(8, seed=5)).Zhat
+    zm = z_matrix(b, random_signal(8, seed=5))
+    assert zm.Zhat is None
     signs = (-1.0) ** np.arange(8)
     for row in range(1, 8):
-        assert np.abs(Zh[8 - row] - signs * Zh[row]).max() < 1e-12
+        assert np.abs(zm.Z[8 - row] - signs * zm.Z[row]).max() < 1e-12
+
+
+def test_z_matrix_memory(basis_of):
+    # the corrected matrix is the only N x N complex array: no second copy
+    n = 1024
+    b, x = basis_of(n, "standard"), random_signal(n, seed=7)
+    tracemalloc.start()
+    try:
+        zm = z_matrix(b, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert zm.Z.shape == (n, n)
+    assert peak <= 1.05 * 16 * n * n, peak / (16 * n * n)
 
 
 # --- multiangle paths --------------------------------------------------------
@@ -465,8 +493,7 @@ def test_mirror_pairing_matches_permutation(basis_of):
 def _staged(b, x, half):
     """z_matrix, then fft_rows_unnormalized, then for half the mirror copy."""
     n = b.n
-    zm = z_matrix(b, x)
-    Z = zm.Zhat if zm.Zhat is not None else zm.Z
+    Z = z_matrix(b, x).Z
     if not half:
         return fft_rows_unnormalized(Z)
     if n % 2:
