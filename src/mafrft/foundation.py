@@ -131,6 +131,11 @@ def _new_pool() -> None:
 
 _new_pool()
 os.register_at_fork(after_in_child=_new_pool)
+# glibc maps blocks from its mmap threshold up (128 KiB at start), trims the
+# heap top past twice that, and raises both to each mapped block it frees; until
+# then, whether a call's arrays of 128 KiB and more fault in fresh pages depends
+# on what the process freed before. Freeing one 4 MiB block raises them now.
+np.empty(4 << 20, np.uint8)
 
 
 def _split_rows(work, rows: int, cost: int) -> None:

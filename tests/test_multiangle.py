@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -728,4 +729,24 @@ def test_pooled_build_works_in_a_forked_child():
         p.start()
         p.join(60)
         assert p.exitcode == 0, p.exitcode
+    """))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+def test_import_raises_heap_thresholds():
+    # four 256 KiB arrays (N=128 results) made and dropped per round: with
+    # glibc's start-up thresholds each round trims the heap top and faults it
+    # back in, 224 pages a round; after the import, none
+    _run_script(textwrap.dedent("""
+        import resource
+        import numpy as np
+        import mafrft
+        def round():
+            arrays = [np.ones((128, 128), complex) for _ in range(4)]
+        round()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(50):
+            round()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 50, faults
     """))
