@@ -56,7 +56,8 @@ def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
-    if np.iscomplexobj(a) or not np.isfinite(a):
+    order = np.asarray(a)  # one int or float: not a sequence, array or string
+    if order.ndim or order.dtype.kind not in "iuf" or not np.isfinite(order):
         raise ValueError(f"order must be a finite real number, got {a!r}")
     # The period 4, taken exactly: the phase of a raw order of size |a| would
     # carry a rounding error that grows with |a| * N.

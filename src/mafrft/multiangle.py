@@ -19,12 +19,11 @@ Both paths run one row routine. Each row depends only on its own row of V,
 so the rows are split into ranges of at least 2**18 elements of Z, at most
 one per CPU the process may run on, and run on the pool of threads that
 :mod:`mafrft.foundation` keeps for this routine alone; each range is formed
-in the rows of X, corrected, transformed and (for the half path) mirrored
-in one pass, and the rows come out bit for bit as on one thread.
+in the rows of X as :func:`z_matrix` forms Z, transformed and (for the half
+path) mirrored in one pass, and the rows come out bit for bit as on one thread.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -41,9 +40,8 @@ class MultiangleResult:
     """N x R transform matrix; its order grid is derived from R.
 
     Row n is the sample index, column r holds the order-``orders[r]``
-    transform of the input; ``orders[r] = 4r/R``. ``orders`` is read-only
-    and shared by every result with the same R. Results compare and hash
-    by identity.
+    transform of the input; ``orders[r] = 4r/R``, computed from R when
+    read. Results compare and hash by identity.
     """
 
     X: np.ndarray
@@ -93,22 +91,25 @@ def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _fold(Z: np.ndarray, m: int) -> None:
-    """The correction, in place: column m (exponent N) folded into column 0 and zeroed."""
-    Z[:, 0] += Z[:, m]
-    Z[:, m] = 0.0
+def _weighted_rows(basis: EigenBasis, y: np.ndarray, Z: np.ndarray, a: int) -> None:
+    """Rows ``a..a+len(Z)-1`` of the corrected Z, into ``Z``: ``V * y`` in the
+    first N columns, zeros past them (the odd-N pad), and for the standard
+    even-N grid column m (exponent N) folded into column 0 and zeroed."""
+    n, m = basis.n, basis._layout[3]
+    np.multiply(basis.vectors[a:a + len(Z)], y, out=Z[:, :n])
+    Z[:, n:] = 0.0
+    if m < n:
+        Z[:, 0] += Z[:, m]
+        Z[:, m] = 0.0
 
 
 def z_matrix(basis: EigenBasis, x: np.ndarray) -> ZMatrix:
     """The one corrected matrix ``ZMatrix.Z`` whose row FFTs give the
-    multiangle result: Z[n,k] = V[n,k] * (V^T x)[k], with column N-1 folded
-    into column 0 and zeroed in place for the standard variant with even N.
-    ``Zhat`` is always None.
+    multiangle result: Z[n,k] = V[n,k] * (V^T x)[k], formed by the routine
+    that forms each row range of the fast paths. ``Zhat`` is always None.
     """
-    Z = basis.vectors * change_of_basis_fast(basis, x)
-    m = basis._layout[3]
-    if m < basis.n:
-        _fold(Z, m)
+    Z = np.empty((basis.n, basis.n), dtype=complex)
+    _weighted_rows(basis, change_of_basis_fast(basis, x), Z, 0)
     return ZMatrix(Z)
 
 
@@ -120,27 +121,21 @@ def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:
     its source row circularly shifted by R/2.
 
     The transformed rows are split over threads by :func:`_split_rows`, and
-    each range is formed in the rows of X, corrected, transformed and
-    mirrored in one pass: unsplit, that is the staged ``z_matrix``, row FFT
-    and mirror copy, done in place. One FFT per transformed row is counted
-    here, on the calling thread, as ``+=`` from several threads could lose
-    counts.
+    each range is formed in the rows of X by :func:`_weighted_rows`, as in
+    :func:`z_matrix`, then transformed and mirrored in one pass: unsplit,
+    that is the staged ``z_matrix``, row FFT and mirror copy, done in place.
+    One FFT per transformed row is counted here, on the calling thread, as
+    ``+=`` from several threads could lose counts.
     """
-    n, V = basis.n, basis.vectors
-    r, c, lo, m = basis._layout
+    n, (r, c, lo, _) = basis.n, basis._layout
     rows, c = (r, c) if half else (n, 0)  # full: every row transformed, none copied
-    pad = half and n % 2 == 1
-    R = n + pad
+    R = n + n % 2 if half else n
     X = np.empty((n, R), dtype=complex)
     h = R // 2
 
     def work(a, b):
         Z = X[a:b]
-        np.multiply(V[a:b], y, out=Z[:, :n])
-        if pad:
-            Z[:, n] = 0.0
-        if m < n:
-            _fold(Z, m)
+        _weighted_rows(basis, y, Z, a)
         np.fft.fft(Z, axis=1, out=Z)
         s, t = max(a, lo), min(b, lo + c)  # sources here; row lo+k -> N-1-k
         if s < t:
@@ -153,12 +148,9 @@ def _transform_rows(basis: EigenBasis, y: np.ndarray, half: bool) -> np.ndarray:
     return X
 
 
-@lru_cache(maxsize=128)
 def _orders(R: int) -> np.ndarray:
-    """The order grid ``4r/R``, read-only, made once per R."""
-    orders = 4 * np.arange(R) / R
-    orders.flags.writeable = False
-    return orders
+    """The order grid ``4r/R`` for ``r = 0..R-1``."""
+    return 4 * np.arange(R) / R
 
 
 def ma_frft_full(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
@@ -190,8 +182,7 @@ def ma_frft_half(
 def ma_frft_naive(basis: EigenBasis, x: np.ndarray) -> MultiangleResult:
     """Reference path: one eigendecomposition apply per order, O(N^3) total."""
     x = _check_signal(basis, x)
-    n = basis.n
-    cols = [frft_apply(basis, 4 * r / n, x) for r in range(n)]
+    cols = [frft_apply(basis, a, x) for a in _orders(basis.n)]
     return MultiangleResult(np.stack(cols, axis=1))
 
 

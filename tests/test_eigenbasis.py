@@ -184,15 +184,16 @@ def test_table_multiplicities_4_to_64(variant):
 
 
 def test_cache_round_trip(tmp_path, basis_of):
-    b = basis_of(10, "centered")
+    # the 12-byte header: magic, int32 n and the variant byte, little-endian
     path = tmp_path / "basis.bin"
-    save_basis(b, path)
-    loaded = load_basis(path)
-    assert loaded.variant == b.variant
-    assert loaded.n == b.n
-    assert np.array_equal(loaded.vectors, b.vectors)
-    assert np.array_equal(loaded.exponents, b.exponents)
-    assert path.read_bytes()[:7] == b"FRFTEB1"
+    for b, code in (basis_of(10, "standard"), 0), (basis_of(10, "centered"), 1):
+        save_basis(b, path)
+        loaded = load_basis(path)
+        assert loaded.variant == b.variant
+        assert loaded.n == b.n
+        assert np.array_equal(loaded.vectors, b.vectors)
+        assert np.array_equal(loaded.exponents, b.exponents)
+        assert path.read_bytes()[:12] == b"FRFTEB1" + struct.pack("<iB", 10, code)
 
 
 def test_save_writes_over_an_existing_file(tmp_path, basis_of):
@@ -241,7 +242,7 @@ def test_hand_made_basis_needs_n_at_least_4(tmp_path, variant):
 def test_cache_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTABAS" + b"\0" * 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad magic"):
         load_basis(path)
 
 
@@ -255,26 +256,31 @@ def _cache_bytes(tmp_path, n=8, variant="standard"):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, message",
     [
-        pytest.param(lambda data: data[:-1], id="truncated-body"),
-        pytest.param(lambda data: data[:9], id="truncated-header"),
-        pytest.param(lambda data: data + b"\0", id="trailing-bytes"),
-        pytest.param(lambda data: data[:11] + b"\x07" + data[12:], id="unknown-variant"),
-        pytest.param(lambda data: data[:7] + struct.pack("<i", 3) + data[11:], id="n-3"),
-        pytest.param(lambda data: data[:7] + struct.pack("<i", -2) + data[11:], id="n-negative"),
+        pytest.param(lambda data: data[:-1], "^truncated:", id="truncated-body"),
+        pytest.param(lambda data: data[:9], "truncated header", id="truncated-header"),
+        pytest.param(lambda data: data + b"\0", "trailing bytes", id="trailing-bytes"),
+        pytest.param(lambda data: data[:11] + b"\x07" + data[12:], "unknown variant byte 7",
+                     id="unknown-variant"),
+        pytest.param(lambda data: data[:7] + struct.pack("<i", 3) + data[11:], "n must be >= 4",
+                     id="n-3"),
+        pytest.param(lambda data: data[:7] + struct.pack("<i", -2) + data[11:], "n must be >= 4",
+                     id="n-negative"),
         pytest.param(lambda data: data[:-32] + data[-28:-24] + data[-32:-28] + data[-24:],
-                     id="swapped-exponents"),
+                     "exponents differ", id="swapped-exponents"),
         pytest.param(lambda data: data[:12] + struct.pack("<d", np.nan) + data[20:],
-                     id="nan-entry"),
+                     "not a real, finite", id="nan-entry"),
         pytest.param(lambda data: data[:-40] + struct.pack("<d", -np.inf) + data[-32:],
-                     id="inf-entry"),
+                     "not a real, finite", id="inf-entry"),
     ],
 )
-def test_cache_rejects_corrupt_file(tmp_path, corrupt):
+def test_cache_rejects_corrupt_file(tmp_path, corrupt, message):
+    # each case fails on its own check, so a header read at a wrong offset
+    # cannot pass on some later ValueError
     path, data = _cache_bytes(tmp_path)
     path.write_bytes(corrupt(data))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         load_basis(path)
 
 

@@ -101,13 +101,15 @@ def test_sign_flip_invariance(basis_of):
         assert np.abs(frft_matrix(b, a) - frft_matrix(flipped, a)).max() < 1e-10
 
 
-@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, 0.5 + 0.5j, 1 + 0j])
+@pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, 0.5 + 0.5j, 1 + 0j,
+                               [[0.5]], np.array([0.5]), [0.5, 1.0], "0.5"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_non_finite_or_complex_order_raises(variant, a, basis_of):
+    # an order is one real number: not a sequence, an array or a string
     b = basis_of(16, variant)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be a finite real number"):
         frft_apply(b, a, random_signal(16))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be a finite real number"):
         frft_matrix(b, a)
 
 

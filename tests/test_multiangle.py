@@ -517,20 +517,15 @@ def test_whole_call_equals_staged_z_and_fft(n, variant, basis_of):
     assert np.array_equal(half.X, _staged(b, x, True))
 
 
-def test_order_grid_is_shared_and_read_only(basis_of):
-    b, x = basis_of(8, "standard"), random_signal(8)
-    results = ma_frft_full(b, x), ma_frft_half(b, x), ma_frft_naive(b, x)
-    assert results[0].orders is results[1].orders is results[2].orders
-    assert not results[0].orders.flags.writeable
-    assert np.array_equal(results[0].orders, 4 * np.arange(8) / 8)
-
-
 def test_result_is_its_matrix_and_derived_grid(basis_of):
     # odd N: the padded half path has a grid of N+1 orders, the others N
-    b, x = basis_of(9, "centered"), random_signal(9)
-    for result in ma_frft_full(b, x), ma_frft_half(b, x, pad_odd=True), ma_frft_naive(b, x):
-        assert [f.name for f in dataclasses.fields(result)] == ["X"]
-        assert result.orders is multiangle._orders(result.X.shape[1])
+    for n, variant in (8, "standard"), (9, "centered"):
+        b, x = basis_of(n, variant), random_signal(n)
+        full, half = ma_frft_full(b, x), ma_frft_half(b, x, pad_odd=n % 2 == 1)
+        for result, R in (full, n), (half, n + n % 2), (ma_frft_naive(b, x), n):
+            assert [f.name for f in dataclasses.fields(result)] == ["X"]
+            assert result.X.shape == (n, R)
+            assert np.array_equal(result.orders, 4 * np.arange(R) / R)
 
 
 def test_basis_and_results_compare_and_hash_by_identity():
