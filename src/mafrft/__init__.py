@@ -19,7 +19,6 @@ from .eigenbasis import (
     validate_eigenbasis,
 )
 from .exceptions import (
-    CommutationError,
     DegenerateBasis,
     EigenMismatch,
     LengthMismatch,
@@ -48,7 +47,6 @@ __all__ = [
     "load_basis",
     "save_basis",
     "validate_eigenbasis",
-    "CommutationError",
     "DegenerateBasis",
     "EigenMismatch",
     "LengthMismatch",

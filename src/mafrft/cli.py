@@ -11,8 +11,7 @@ File formats:
 Exit codes, from the exception a command raises (``EXIT_CODES``, first match):
   0  ok
   3  flag conflict: OddWithoutPad
-  1  validation failure: ZeroSignal, DegenerateBasis, EigenMismatch,
-     CommutationError
+  1  validation failure: ZeroSignal, DegenerateBasis, EigenMismatch
   2  parse or I/O error: any other ValueError (NonFiniteSignal included)
      or OSError
 A mapped exception prints one line to stderr,
@@ -29,9 +28,7 @@ import numpy as np
 
 from . import __version__
 from .eigenbasis import build_eigenbasis, validate_eigenbasis
-from .exceptions import (
-    CommutationError, DegenerateBasis, EigenMismatch, OddWithoutPad, ZeroSignal,
-)
+from .exceptions import DegenerateBasis, EigenMismatch, OddWithoutPad, ZeroSignal
 from .foundation import VARIANTS, check_size
 from .multiangle import ma_frft_full, ma_frft_half, ma_frft_naive
 
@@ -39,7 +36,7 @@ from .multiangle import ma_frft_full, ma_frft_half, ma_frft_naive
 # command raised gives the exit code; 0 means the command returned.
 EXIT_CODES = (
     (OddWithoutPad, 3),  # flag conflict
-    ((ZeroSignal, DegenerateBasis, EigenMismatch, CommutationError), 1),  # validation
+    ((ZeroSignal, DegenerateBasis, EigenMismatch), 1),  # validation
     ((ValueError, OSError), 2),  # parse or I/O error, NonFiniteSignal included
 )
 _CSV = dict(fmt="%.17g", delimiter=",")

@@ -29,11 +29,9 @@ A basis that exists has passed its self-checks: the :class:`EigenBasis`
 constructor runs them once, for built, loaded and hand-made bases alike.
 Each residual is a maximum over blocks, one after another on the calling
 thread, with no N x N temporary. Orthonormality, over column blocks of
-``V.T @ V - I``, is the one O(N^3) check. The commutation and DFT eigen
-residuals take O(N^2 log N): the DFT is generated a block of rows at a time
-from a twiddle table, or applied as column FFTs. The commutation residual is
-exactly antisymmetric, so a block of rows is checked only against the
-columns from its first row on: half the matrix.
+``V.T @ V - I``, is the one O(N^3) check; the DFT eigen residual applies the
+DFT as column FFTs, in O(N^2 log N). The band commutes with the DFT by
+theorem, which the tests check; a wrong band fails the eigen residual.
 """
 
 import ctypes
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import CommutationError, DegenerateBasis, EigenMismatch
+from .exceptions import DegenerateBasis, EigenMismatch
 from .foundation import _twiddles, check_size, check_variant
 from .foundation import mirror_layout, reversal_permutation
 
@@ -78,9 +76,9 @@ class EigenBasis:
     constructor runs :func:`_self_check` once, keeps the report, and raises
     :class:`DegenerateBasis` or :class:`EigenMismatch` by ``_BOUNDS``.
 
-    Both arrays are read-only. ``vectors`` is kept as given only if it is
-    read-only and owns its data; a view or a writable array is copied, so the
-    report cannot go stale. Bases compare and hash by identity.
+    Both arrays are read-only. Views and writable arrays are copied. A
+    read-only array that owns its data is kept: if its owner turns writes
+    back on, a write voids the report. Bases compare and hash by identity.
     """
 
     variant: str
@@ -185,8 +183,7 @@ def _commuting_band(n: int, variant: str):
 
     The diagonal is ``2*cos(2*pi*(k - c)/N) - 4`` where ``c`` is the index
     center of the variant; the corner is -1 for the centered variant with
-    even N, else +1. Raises :class:`CommutationError` if the commutation
-    residual exceeds 1e-8 (an implementation bug, not bad data).
+    even N, else +1 (Candan, Kutay & Ozaktas 2000).
     """
     n = check_size(n, 4)
     check_variant(variant)
@@ -194,52 +191,7 @@ def _commuting_band(n: int, variant: str):
     diag = 2 * np.cos(np.pi * u / n) - 4
     off = np.ones(n)
     off[-1] = -1.0 if (variant == "centered" and n % 2 == 0) else 1.0
-    residual = _commutation_residual(diag, off, variant)
-    if residual > 1e-8:
-        raise CommutationError(
-            f"commutation residual {residual:g} for n={n}, variant={variant}"
-        )
     return diag, off
-
-
-def _commutation_residual(diag, off, variant: str) -> float:
-    """``max|SW - WS|`` for the periodic tridiagonal S given by ``diag`` and
-    ``off`` (see :func:`_commuting_band`) and the unitary DFT W.
-
-    Works on blocks of rows of W generated from the twiddle table, with S
-    applied as a band from the left (neighbouring rows) and from the right
-    (neighbouring columns): O(N^2) time, O(block * N) memory. A block of rows
-    from ``j0`` on needs only the columns ``k >= j0``: D = SW - WS is exactly
-    antisymmetric in floating point, as W[j, k] and W[k, j] are the same
-    table entry and S is symmetric, so D[j, k] and -D[k, j] are the same sums
-    of the same products, and every entry left of ``j0`` mirrors one that an
-    earlier block evaluates.
-    """
-    n = len(diag)
-    u, table = _twiddles(n, variant)
-    table /= np.sqrt(n)
-    ring = np.arange(-1, n + 1) % n  # ring[i + 1] = i, with one wrapped neighbour each side
-    # W is worked on as (real, imaginary) float pairs: a real band entry times
-    # a complex one rounds each part as the complex product does. So the
-    # column factors S[k-1, k], S[k, k] and S[k, k+1] come once per part.
-    below, diag2, off2 = (np.repeat(a, 2) for a in (off[ring[:-2]], diag, off))
-
-    def rows(j0, j1):
-        j = ring[j0 + 1 : j1 + 1, None]
-        phase = np.outer(u[ring[j0 : j1 + 2]], u[ring[j0:]])
-        phase -= phase // (4 * n) * (4 * n)  # as % but faster
-        W = table[phase].view(float)  # rows j0-1 .. j1 of W, columns j0-1 .. N
-        D = off[j - 1] * W[:-2, 2:-2]  # SW
-        D += diag[j] * W[1:-1, 2:-2]
-        D += off[j] * W[2:, 2:-2]
-        mid = W[1:-1]
-        WS = mid[:, :-4] * below[2 * j0:]
-        WS += mid[:, 2:-2] * diag2[2 * j0:]
-        WS += mid[:, 4:] * off2[2 * j0:]
-        D -= WS
-        return float(np.abs(D.view(complex)).max())
-
-    return _worst(rows, n, _block(n))
 
 
 def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float:
@@ -275,7 +227,7 @@ def _eigen_residual(V: np.ndarray, exponents: np.ndarray, variant: str) -> float
 
 def commuting_matrix(n: int, variant: str = "standard") -> np.ndarray:
     """Real symmetric matrix commuting with the DFT of the given variant:
-    the checked band of :func:`_commuting_band`, densified (tridiagonal plus
+    the band of :func:`_commuting_band`, densified (tridiagonal plus
     wraparound corners)."""
     diag, off = _commuting_band(n, variant)
     k = np.arange(len(diag))

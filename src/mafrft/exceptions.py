@@ -17,10 +17,6 @@ class EigenMismatch(RuntimeError):
     """A basis column does not satisfy its assigned DFT eigenvalue."""
 
 
-class CommutationError(RuntimeError):
-    """Constructed matrix fails to commute with the DFT (implementation bug)."""
-
-
 class OddWithoutPad(ValueError):
     """Halved multiangle path requested for odd length without zero padding."""
 

@@ -56,6 +56,10 @@ def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _eigenvalue_powers(basis: EigenBasis, a: float) -> np.ndarray:
+    if isinstance(a, int) and not isinstance(a, bool):
+        # in integers first, with the sign of a as np.fmod keeps it: numpy
+        # holds no int past 64 bits
+        a = a % 4 if a >= 0 else -(-a % 4)
     order = np.asarray(a)  # one int or float: not a sequence, array or string
     if order.ndim or order.dtype.kind not in "iuf" or not np.isfinite(order):
         raise ValueError(f"order must be a finite real number, got {a!r}")

@@ -16,11 +16,12 @@ order grid, which breaks the pairing; appending a zero column to Z (an
 oversampled DFT, R = N+1) restores it at a slightly different order grid.
 
 Both paths run one row routine. Each row depends only on its own row of V,
-so the rows are split into ranges of at least 2**18 elements of Z, at most
-one per CPU the process may run on, and run on the pool of threads that
-:mod:`mafrft.foundation` keeps for this routine alone; each range is formed
-in the rows of X as :func:`z_matrix` forms Z, transformed and (for the half
-path) mirrored in one pass, and the rows come out bit for bit as on one thread.
+so the rows are split into ranges of at least 2**18 elements of Z (16 for
+an N=2048 ``full`` call) and run on at most one thread per CPU the process
+may run on, from the pool that :mod:`mafrft.foundation` keeps for this
+routine alone; each range is formed in the rows of X as :func:`z_matrix`
+forms Z, transformed and (for the half path) mirrored in one pass, and the
+rows come out bit for bit as on one thread.
 """
 
 from dataclasses import dataclass

@@ -14,7 +14,6 @@ PUBLIC = [
     "load_basis",
     "save_basis",
     "validate_eigenbasis",
-    "CommutationError",
     "DegenerateBasis",
     "EigenMismatch",
     "LengthMismatch",

@@ -1,12 +1,16 @@
+import builtins
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import mafrft
 from mafrft import DegenerateBasis, EigenMismatch
-from mafrft.cli import main, make_signal, read_signal, write_signal
+from mafrft.cli import EXIT_CODES, main, make_signal, read_signal, write_signal
 
 
 def run(argv):
@@ -290,3 +294,19 @@ def test_signal_round_trip_is_bit_exact(tmp_path_factory, pairs):
     path = tmp_path_factory.getbasetemp() / "round_trip.csv"
     write_signal(x, path)
     assert read_signal(path).tobytes() == x.tobytes()
+
+
+def test_readme_exit_code_table_follows_exit_codes():
+    # Each backticked exception of a row maps to the row's code by the first
+    # match in EXIT_CODES, and each type in EXIT_CODES is named in its row.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = {int(code): re.findall(r"`(\w+)`", names) for code, names in
+            re.findall(r"^\| (\d) +\|[^|]*\|(.*)\|$", readme, re.MULTILINE)}
+    assert set(rows) == {0} | {code for _, code in EXIT_CODES}
+    for code, names in rows.items():
+        for name in names:
+            error = getattr(mafrft, name, None) or getattr(builtins, name)
+            assert next(c for types, c in EXIT_CODES if issubclass(error, types)) == code, name
+    for types, code in EXIT_CODES:
+        for error in types if isinstance(types, tuple) else (types,):
+            assert error.__name__ in rows[code], (error, code)

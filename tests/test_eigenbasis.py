@@ -27,8 +27,8 @@ from mafrft import (
 )
 from mafrft import eigenbasis, foundation
 from mafrft.eigenbasis import (
-    _BOUNDS, ValidationReport, _commutation_residual, _commuting_band,
-    _eigen_residual, _lead_signs, _self_check, index_vector,
+    _BOUNDS, ValidationReport, _commuting_band, _eigen_residual, _lead_signs,
+    _self_check, index_vector,
 )
 from mafrft.foundation import _twiddles, mirror_layout
 from tests.conftest import cached_basis, expected_multiplicities, multiplicities
@@ -309,23 +309,28 @@ def test_load_self_checks_the_basis(tmp_path, variant):
 def test_residual_kernels_match_dense_formulas(n, variant):
     S = commuting_matrix(n, variant)
     W = dft_matrix(n, variant)
-    blocked = _commutation_residual(*_commuting_band(n, variant), variant)
-    assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
+    assert np.abs(S @ W - W @ S).max() < 1e-12
 
     b = cached_basis(n, variant)
     V, ell = b.vectors, b.exponents
-    dense = np.abs(dft_matrix(n, variant) @ V - V * (-1j) ** ell).max()
+    dense = np.abs(W @ V - V * (-1j) ** ell).max()
     assert abs(_eigen_residual(V, ell, variant) - dense) < 1e-14
 
 
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [255, 256, 257, 258, 1023, 1024])
+def test_commuting_matrix_commutes_at_every_residue_mod_4(n, variant):
+    # No build checks that the band commutes with the DFT: these sizes, one
+    # of each N mod 4 near the benchmark's, pin the formula densely.
+    S = commuting_matrix(n, variant)
+    W = dft_matrix(n, variant)
+    assert np.abs(S @ W - W @ S).max() < 1e-12
+
+
 def test_residual_kernels_blocked(monkeypatch):
-    # Force several row and column blocks, including a ragged last one.
+    # Force several column blocks, including a ragged last one.
     monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", 3 * 37)
     for variant in ("standard", "centered"):
-        S = commuting_matrix(37, variant)
-        W = dft_matrix(37, variant)
-        blocked = _commutation_residual(*_commuting_band(37, variant), variant)
-        assert abs(blocked - np.abs(S @ W - W @ S).max()) < 1e-14
         b = cached_basis(37, variant)
         dense = np.abs(dft_matrix(37, variant) @ b.vectors
                        - b.vectors * (-1j) ** b.exponents).max()
@@ -334,13 +339,39 @@ def test_residual_kernels_blocked(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
 @pytest.mark.parametrize("n", [8, 9])
-def test_flipped_corner_fails_commutation(n, variant, monkeypatch):
-    diag, off = _commuting_band(n, variant)
-    off[-1] = -off[-1]
-    assert _commutation_residual(diag, off, variant) > 1e-8
-    # also with one row per block, each row against the columns from its own on
-    monkeypatch.setattr(eigenbasis, "_BLOCK_ELEMENTS", n)
-    assert _commutation_residual(diag, off, variant) > 1e-8
+def test_flipped_corner_fails_commutation(n, variant):
+    S = commuting_matrix(n, variant)
+    S[0, -1] = S[-1, 0] = -S[0, -1]
+    W = dft_matrix(n, variant)
+    assert np.abs(S @ W - W @ S).max() > 1e-8
+
+
+_BAND_DEFECTS = {  # (0 for the diagonal or 1 for the off-diagonal, index, change)
+    "corner-flipped": (1, -1, lambda v: -v),
+    "diag1+1e-3": (0, 1, lambda v: v + 1e-3),
+    "diag1+1e-7": (0, 1, lambda v: v + 1e-7),
+    "off2*(1+1e-7)": (1, 2, lambda v: v * (1 + 1e-7)),
+}
+
+
+@pytest.mark.parametrize("defect", list(_BAND_DEFECTS))
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 64, 65, 256])
+def test_eigen_residual_rejects_a_broken_band(n, variant, defect, monkeypatch):
+    # No build checks the band on its own: a basis built from a wrong one
+    # must fail its DFT eigen residual. At N=256 the 1e-7 defects leave
+    # max|SW - WS| near 6e-9, below 1e-8, and are rejected all the same.
+    which, k, change = _BAND_DEFECTS[defect]
+    band = eigenbasis._commuting_band
+
+    def broken(n, variant):
+        parts = band(n, variant)
+        parts[which][k] = change(parts[which][k])
+        return parts
+
+    monkeypatch.setattr(eigenbasis, "_commuting_band", broken)
+    with pytest.raises(EigenMismatch, match="^eigen_residual"):
+        build_eigenbasis(n, variant)
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])
@@ -360,37 +391,6 @@ def test_blocked_orthonormality_equals_dense(n, variant):
 
 
 # --- bit-exact references for the blocked and unfolded kernels ---------------------
-
-
-def _full_commutation_matrix(diag, off, variant):
-    """D = SW - WS over every row and column, in complex arithmetic, with the
-    products and sums of the library kernel."""
-    n = len(diag)
-    u, table = _twiddles(n, variant)
-    table /= np.sqrt(n)
-    ring = np.arange(-1, n + 1) % n
-    W = table[np.outer(u[ring], u[ring]) % (4 * n)]  # rows and columns -1 .. N
-    j = np.arange(n)[:, None]
-    SW = off[j - 1] * W[:-2, 1:-1] + diag[j] * W[1:-1, 1:-1] + off[j] * W[2:, 1:-1]
-    mid = W[1:-1]
-    WS = mid[:, :-2] * off[ring[:-2]] + mid[:, 1:-1] * diag + mid[:, 2:] * off
-    return SW - WS
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(4, 96), variant=st.sampled_from(["standard", "centered"]),
-       rows=st.integers(1, 7))
-def test_half_commutation_kernel_equals_full_matrix(n, variant, rows):
-    # D is exactly antisymmetric, so a block of rows needs only the columns
-    # from its first row on; `rows` rows per block makes the blocks ragged.
-    band = _commuting_band(n, variant)
-    D = _full_commutation_matrix(*band, variant)
-    assert np.array_equal(np.abs(D), np.abs(D.T))
-    full = float(np.abs(D).max())
-    assert _commutation_residual(*band, variant) == full
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigenbasis, "_BLOCK_ELEMENTS", rows * n)
-        assert _commutation_residual(*band, variant) == full
 
 
 @pytest.mark.parametrize("variant", ["standard", "centered"])

@@ -101,8 +101,18 @@ def test_sign_flip_invariance(basis_of):
         assert np.abs(frft_matrix(b, a) - frft_matrix(flipped, a)).max() < 1e-10
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_large_integer_order_is_its_residue(variant, basis_of):
+    # an int past 64 bits, which numpy cannot hold, gives the bits of its
+    # residue mod 4, signed as the order is
+    b, x = basis_of(16, variant), random_signal(16, seed=5)
+    for big, small in ((2**63, 0), (2**70 + 1, 1), (-(2**80) - 2, -2)):
+        assert np.array_equal(frft_apply(b, big, x), frft_apply(b, small, x)), big
+        assert np.array_equal(frft_matrix(b, big), frft_matrix(b, small)), big
+
+
 @pytest.mark.parametrize("a", [np.nan, np.inf, -np.inf, 0.5 + 0.5j, 1 + 0j,
-                               [[0.5]], np.array([0.5]), [0.5, 1.0], "0.5"])
+                               [[0.5]], np.array([0.5]), [0.5, 1.0], "0.5", True])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_non_finite_or_complex_order_raises(variant, a, basis_of):
     # an order is one real number: not a sequence, an array or a string
