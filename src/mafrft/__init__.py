@@ -9,7 +9,6 @@ mirror-symmetry trick that halves the number of FFTs.
 
 __version__ = "0.1.0"
 
-from .counters import counters
 from .eigenbasis import (
     EigenBasis,
     build_eigenbasis,
@@ -26,10 +25,9 @@ from .exceptions import (
     OddWithoutPad,
     ZeroSignal,
 )
-from .foundation import dft_matrix, reversal_permutation
-from .frft import frft_apply
+from .foundation import counters, dft_matrix, reversal_permutation
+from .frft import change_of_basis, frft_apply
 from .multiangle import (
-    change_of_basis,
     change_of_basis_fast,
     concentration_profile,
     ma_frft_full,

@@ -76,9 +76,11 @@ class EigenBasis:
     constructor runs :func:`_self_check` once, keeps the report, and raises
     :class:`DegenerateBasis` or :class:`EigenMismatch` by ``_BOUNDS``.
 
-    Both arrays are read-only. Views and writable arrays are copied. A
-    read-only array that owns its data is kept: if its owner turns writes
-    back on, a write voids the report. Bases compare and hash by identity.
+    Both arrays are read-only views, which cannot be made writable. Views
+    and writable arrays are copied first; a read-only array that owns its
+    data is viewed without a copy, so a caller that keeps it, or reaches
+    ``vectors.base``, can still turn writes back on, and a write voids the
+    report. Bases compare and hash by identity.
     """
 
     variant: str
@@ -99,7 +101,8 @@ class EigenBasis:
         V.flags.writeable = ell.flags.writeable = False
         report = _self_check(V, self.variant)
         report.require(f"n={n}, variant={self.variant}")
-        self.__dict__.update(vectors=V, n=n, exponents=ell, _layout=layout, _report=report)
+        self.__dict__.update(vectors=V.view(), n=n, exponents=ell.view(),
+                             _layout=layout, _report=report)
 
 
 _BOUNDS = (
@@ -253,9 +256,8 @@ def build_eigenbasis(n: int, variant: str = "standard") -> EigenBasis:
     """
     r, c, lo, m = mirror_layout(n, variant)
     diag, off = _commuting_band(n, variant)
-    k = np.arange(n)
-    orbit = np.where(k < r, k, lo + n - 1 - k)  # representative of k's orbit
-    paired = (lo <= orbit) & (orbit < lo + c)
+    k, mirror = np.arange(n), reversal_permutation(n, variant)
+    orbit, paired = np.minimum(k, mirror), mirror != k  # k's representative
     i, j, s = np.r_[k, k, (k + 1) % n], np.r_[k, (k + 1) % n, k], np.r_[diag, off, off]
     # Class columns: the even class is 0:m:2 plus m:n, the columns of
     # exponent N; the odd class is 1:m:2 (its m+1:n is always empty).

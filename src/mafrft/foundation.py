@@ -1,4 +1,6 @@
-"""DFT matrices, reversal orbits and the counted row FFT.
+"""Shared rules: the size, variant and signal checks, DFT matrices,
+reversal orbits, the operation counters with the counted row FFT and real
+product, and the thread and BLAS policy.
 
 Two DFT conventions are supported throughout the library:
 
@@ -6,23 +8,42 @@ Two DFT conventions are supported throughout the library:
 * ``"centered"``: indices shifted by ``(N-1)/2`` in both rows and columns,
   so the transform probes frequencies symmetric about zero.
 
-One pool of threads, made at import, runs the row ranges of the multiangle
-transforms through :func:`_split_rows`; no other call uses threads.
+The thread and BLAS policy, whole: one pool, made at import, runs the row
+ranges of the multiangle transforms (:func:`_split_rows`); every real
+product runs on the calling thread, in blocks that OpenBLAS keeps there
+(:func:`_real_matvec`); the basis build and its self-checks run on the
+calling thread; and the import raises glibc's heap thresholds once (below).
 
-Row FFTs run on ``numpy.fft`` (pocketfft, any length in O(N log N)). Each
-counts one FFT invocation per row at its call boundary, so the paper's
-FFT-count claims stay exact however numpy batches the rows. The multiangle
-paths count once per call; :func:`fft_rows_unnormalized` is the staged
+``counters`` is plain module state: reset it, run the code under test, read
+it back. Each count is made where its work runs: one FFT per row at the call
+that transforms it, one multiply per matrix entry of each product
+:func:`_real_matvec` runs, and one per fixed-point halving. Row FFTs run on
+``numpy.fft`` (pocketfft, any length in O(N log N)); the multiangle paths
+count once per call, and :func:`fft_rows_unnormalized` is the staged
 reference, run on a ``z_matrix``, that the harness and the tests check them by.
 """
 
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import counters
+from .exceptions import LengthMismatch, NonFiniteSignal
+
+
+@dataclass
+class OpCounters:
+    fft_calls: int = 0
+    multiplies: int = 0
+
+    def reset(self) -> None:
+        self.fft_calls = 0
+        self.multiplies = 0
+
+
+counters = OpCounters()
 
 VARIANTS = ("standard", "centered")
 
@@ -40,6 +61,17 @@ def check_size(n: int, least: int = 1) -> int:
     if n < least:
         raise ValueError(f"n must be >= {least}")
     return n
+
+
+def _check_signal(basis, x: np.ndarray) -> np.ndarray:
+    """The signal as a complex array, after checking its length against
+    ``basis.n`` and that every sample is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (basis.n,):
+        raise LengthMismatch(f"signal length {x.shape} != basis size {basis.n}")
+    if not np.isfinite(x).all():
+        raise NonFiniteSignal("signal has NaN or infinite samples")
+    return x
 
 
 def _twiddles(n: int, variant: str):
@@ -105,6 +137,33 @@ def fft_rows_unnormalized(z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     counters.fft_calls += z.shape[0]
     return np.fft.fft(z, axis=1)
+
+
+# Multiply-adds per real product: OpenBLAS runs a GEMM of at most this size
+# on the thread that calls it, and larger ones on its own threads, which then
+# spin after the call and hold the other cores.
+_GEMM_BLOCK = 2**18
+
+
+def _real_matvec(A: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``A @ z`` for a real matrix and a complex vector, counted as
+    ``A.size`` multiplies and run as a real product with the real and
+    imaginary parts of ``z`` side by side: numpy would otherwise cast all
+    of ``A`` to complex on every call.
+
+    Up to ``_GEMM_BLOCK`` multiply-adds this is one product; above, it runs
+    in row blocks of at most that size on the calling thread, written into
+    one result. ``np.matmul`` holds the interpreter lock for each block, so
+    splitting the blocks over threads would only make them take turns."""
+    counters.multiplies += A.size
+    z = np.ascontiguousarray(z, dtype=complex).view(float).reshape(-1, 2)
+    step = max(1, _GEMM_BLOCK // (2 * A.shape[1] or 1))
+    if A.shape[0] <= step:
+        return (A @ z).view(complex).reshape(-1)
+    out = np.empty((A.shape[0], 2))
+    for i in range(0, A.shape[0], step):
+        np.matmul(A[i:i + step], z, out=out[i:i + step])
+    return out.view(complex).reshape(-1)
 
 
 # The least elements in one range of :func:`_split_rows`: a call with fewer

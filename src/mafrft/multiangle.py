@@ -29,11 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .counters import counters
 from .eigenbasis import EigenBasis
 from .exceptions import OddWithoutPad, ZeroSignal
-from .foundation import _split_rows
-from .frft import _check_signal, _real_matvec, frft_apply
+from .foundation import _check_signal, _real_matvec, _split_rows, counters
+from .frft import frft_apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,18 +57,13 @@ class ZMatrix:
     Zhat: Optional[np.ndarray] = None  # always None; perfbench still reads it
 
 
-def change_of_basis(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
-    """Direct product V^T x, O(N^2) multiplies."""
-    return _real_matvec(basis.vectors.T, _check_signal(basis, x))
-
-
 def change_of_basis_fast(basis: EigenBasis, x: np.ndarray) -> np.ndarray:
     """V^T x using the even/odd reversal symmetry of the eigenvectors.
 
     Splits x into its reversal-even and reversal-odd parts and pairs each
     with the matching eigenvector columns, so each half-size product only
     runs over one representative of every mirrored index pair. Uses about
-    half the multiplies of :func:`change_of_basis`.
+    half the multiplies of :func:`~mafrft.frft.change_of_basis`.
 
     Runs on slices of V, in the basis's ``mirror_layout`` ``(r, c, lo, m)``:
     the even class (r columns) is ``V[:r, 0:m:2]`` plus the columns ``m:``

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -50,3 +52,25 @@ def test_public_names_are_pinned_and_resolve():
 def test_unexported_names_import_from_their_module(module, name):
     assert name not in mafrft.__all__
     assert getattr(importlib.import_module(f"mafrft.{module}"), name) is not None
+
+
+def _relative_imports(path):
+    """``(module, name)`` for each ``from .module import name`` in a file."""
+    tree = ast.parse(path.read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_module_layering():
+    # frft is the single-order reference: shared helpers live in foundation,
+    # and the reference does not lean on the multiangle paths it checks.
+    src = Path(mafrft.__file__).parent
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    assert modules == ["cli", "eigenbasis", "exceptions", "foundation", "frft", "multiangle"]
+    for path in src.glob("*.py"):
+        for module, name in _relative_imports(path):
+            assert not (module == "frft" and name.startswith("_")), (path.name, name)
+    assert all(module != "multiangle" for module, _ in _relative_imports(src / "frft.py"))
+    assert [name for module, name in _relative_imports(src / "multiangle.py")
+            if module == "frft"] == ["frft_apply"]

@@ -133,8 +133,17 @@ def test_validate_9_centered(capsys):
 
 
 def test_validate_broken_symmetry_is_validation_failure(capsys, monkeypatch):
-    monkeypatch.setattr("mafrft.eigenbasis.reversal_permutation",
-                        lambda n, v: np.arange(n))
+    # The built V is self-checked again with reversal taken as the identity:
+    # the build's own orbit map needs the true reversal.
+    build = mafrft.cli.build_eigenbasis
+
+    def broken(n, variant):
+        V = build(n, variant).vectors
+        monkeypatch.setattr("mafrft.eigenbasis.reversal_permutation",
+                            lambda n, v: np.arange(n))
+        return mafrft.EigenBasis(variant, V)
+
+    monkeypatch.setattr("mafrft.cli.build_eigenbasis", broken)
     assert run(["validate", "--n", 16, "--variant", "centered"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -178,6 +187,16 @@ def test_render_rejects_non_finite_entry(tmp_path, capsys, value):
     assert not pgm.exists()
 
 
+def test_render_rejects_mismatched_shapes(tmp_path, capsys):
+    (tmp_path / "m_re.csv").write_text("1,2,3\n4,5,6\n")
+    (tmp_path / "m_im.csv").write_text("0,0\n0,0\n0,0\n")
+    pgm = tmp_path / "m.pgm"
+    assert run(["render", "--in-prefix", tmp_path / "m", "--out", pgm]) == 2
+    assert capsys.readouterr().err == (
+        "render: ValueError: _re/_im shapes (2, 3) and (3, 2) do not match\n")
+    assert not pgm.exists()
+
+
 def test_render_missing_input(tmp_path):
     assert run(["render", "--in-prefix", tmp_path / "nope",
                 "--out", tmp_path / "n.pgm"]) == 2
@@ -203,6 +222,18 @@ def test_make_signal_checks_n():
     with pytest.raises(ValueError, match="n must be >= 4"):
         make_signal(3, "chirp")
     assert len(make_signal(np.int64(4), "chirp")) == 4
+
+
+@pytest.mark.parametrize("kwargs", [dict(amplitude=-1.0), dict(noise_std=-0.5)])
+def test_make_signal_rejects_negative_amplitude_or_noise(kwargs):
+    with pytest.raises(ValueError, match="^amplitude and noise_std must be >= 0$"):
+        make_signal(8, "tone", **kwargs)
+
+
+def test_make_signal_rejects_unknown_kind():
+    # argparse stops an unknown --kind at the CLI; the function checks it too
+    with pytest.raises(ValueError, match="^unknown signal kind 'square'$"):
+        make_signal(8, "square")
 
 
 def test_make_signal_unit_chirp_matches_cli_convention():

@@ -627,7 +627,7 @@ def test_basis_keeps_only_read_only_owned_arrays(tmp_path, monkeypatch, variant)
     b = cached_basis(16, variant)
     V = b.vectors.copy()
     V.flags.writeable = False
-    assert EigenBasis(variant, V).vectors is V
+    assert EigenBasis(variant, V).vectors.base is V
     assert not np.shares_memory(EigenBasis(variant, V[:]).vectors, V)
     # a single-precision V is cast to float64 before it is checked, and it
     # is not orthonormal to double precision
@@ -641,7 +641,23 @@ def test_basis_keeps_only_read_only_owned_arrays(tmp_path, monkeypatch, variant)
     assert [W.dtype for W in checked] == [np.float64]
     assert _self_check(checked[0], variant).orthonormality_residual > 1e-10
     save_basis(b, tmp_path / "basis.bin")
-    assert load_basis(tmp_path / "basis.bin").vectors.flags.owndata
+    assert load_basis(tmp_path / "basis.bin").vectors.base.flags.owndata
+
+
+@pytest.mark.parametrize("variant", ["standard", "centered"])
+def test_basis_arrays_cannot_be_made_writable(tmp_path, variant):
+    # An owner of a read-only array may turn writes back on, and a write then
+    # voids the kept report; the basis keeps views, for which numpy refuses.
+    built = build_eigenbasis(16, variant)
+    save_basis(built, tmp_path / "basis.bin")
+    V = built.vectors.copy()
+    V.flags.writeable = False
+    for b in (built, load_basis(tmp_path / "basis.bin"), EigenBasis(variant, V)):
+        for array in (b.vectors, b.exponents):
+            with pytest.raises(ValueError,
+                               match="^cannot set WRITEABLE flag to True of this array$"):
+                array.flags.writeable = True
+            assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -733,12 +749,15 @@ def test_validate_rejects_perturbed_entry(variant):
 
 
 def test_build_raises_for_a_broken_symmetry(monkeypatch):
-    # With reversal taken as the identity, every odd column misses its
-    # symmetry while orthonormality and the DFT eigen residual still hold.
+    # With reversal taken as the identity in the self-check of a built V,
+    # every odd column misses its symmetry while orthonormality and the DFT
+    # eigen residual still hold. The build's own orbit map needs the true
+    # reversal, so it runs first.
+    V = build_eigenbasis(16, "centered").vectors
     monkeypatch.setattr(eigenbasis, "reversal_permutation", lambda n, v: np.arange(n))
     message = "^symmetry_residual .* for n=16, variant=centered$"
     with pytest.raises(EigenMismatch, match=message):
-        build_eigenbasis(16, "centered")
+        EigenBasis("centered", V)
 
 
 @pytest.mark.parametrize("value", ["over", "at", "nan"])
@@ -895,6 +914,21 @@ def test_load_memory(tmp_path, variant):
         tracemalloc.stop()
     assert np.array_equal(loaded.vectors, cached_basis(n, variant).vectors)
     assert peak < 1.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def test_load_rejects_a_file_that_shrinks_while_read(tmp_path, monkeypatch):
+    # The length check reads fstat before V is read; a file cut after it
+    # (here: fstat still reports the full length) must not load a short V.
+    path, data = _cache_bytes(tmp_path)
+    path.write_bytes(data[:-100])
+    fstat = os.fstat
+
+    def full_length(fd):
+        return os.stat_result((*fstat(fd)[:6], len(data), *fstat(fd)[7:10]))
+
+    monkeypatch.setattr(eigenbasis.os, "fstat", full_length)
+    with pytest.raises(ValueError, match=f"^file shrank while reading: expected {len(data)} bytes$"):
+        load_basis(path)
 
 
 def test_load_checks_length_before_allocating(tmp_path):

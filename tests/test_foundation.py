@@ -1,7 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from mafrft import commuting_matrix, counters, dft_matrix, reversal_permutation
+from mafrft import (
+    EigenBasis,
+    build_eigenbasis,
+    commuting_matrix,
+    counters,
+    dft_matrix,
+    reversal_permutation,
+)
 from mafrft.foundation import fft_rows_unnormalized, mirror_layout
 
 
@@ -134,3 +143,17 @@ def test_fft_rows_input_shapes():
     assert many.shape == (4, 6)
     assert counters.fft_calls == 5
     assert np.array_equal(one[0], np.fft.fft(np.arange(5.0)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: dft_matrix(8, v),
+    lambda v: reversal_permutation(8, v),
+    lambda v: mirror_layout(8, v),
+    lambda v: commuting_matrix(8, v),
+    lambda v: build_eigenbasis(8, v),
+    lambda v: EigenBasis(v, np.eye(8)),
+])
+def test_unknown_variant_raises(call):
+    message = "unknown variant 'Standard', expected one of ('standard', 'centered')"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call("Standard")

@@ -8,7 +8,8 @@ from mafrft import (
     frft_apply,
     reversal_permutation,
 )
-from mafrft.frft import _GEMM_BLOCK, _real_matvec, frft_matrix
+from mafrft.foundation import _GEMM_BLOCK, _real_matvec
+from mafrft.frft import frft_matrix
 from tests.conftest import random_signal
 
 VARIANTS = ["standard", "centered"]
